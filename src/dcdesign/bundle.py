@@ -26,19 +26,7 @@ FORMAT = "dcd-bundle/1"
 def _plan_payload(plan: PermutationPlan | None):
     if plan is None:
         return None
-    payload = {"seed": plan.seed}
-    if plan.v is not None:
-        payload["v"] = [np.asarray(p).tolist() for p in plan.v]
-    if plan.w is not None:
-        payload["w"] = [
-            [np.asarray(p).tolist() for p in entry] if isinstance(entry, (list, tuple)) else np.asarray(entry).tolist()
-            for entry in plan.w
-        ]
-    if plan.b_cells is not None:
-        payload["b_cells"] = np.asarray(plan.b_cells).tolist()
-    if plan.c_perms is not None:
-        payload["c_perms"] = [np.asarray(p).tolist() for p in plan.c_perms]
-    return payload
+    return {"seed": plan.seed, **{name: field.tolist() for name, field in plan.fields().items()}}
 
 
 def plan_digest(plan: PermutationPlan | None) -> str:
@@ -94,24 +82,50 @@ def save_bundle(bundle: dict, path) -> None:
     Path(path).write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
 
 
+def _int_matrix(rows, name: str) -> np.ndarray:
+    """An exact integer matrix; floats, booleans and ragged rows are refused
+    rather than truncated or cast."""
+    m = np.array(rows, dtype=object)
+    if m.ndim != 2 or any(type(v) is not int for v in m.flat):
+        raise ParseError(f"{name} must be a matrix of integers")
+    return m.astype(int)
+
+
 def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} bundle")
     try:
-        s = int(data["s"])
-        d1 = np.array(data["d1"], dtype=int)
-        d2 = np.array(data["d2"], dtype=int)
+        s = data["s"]
+        if type(s) is not int or s < 2:
+            raise ParseError(f"s must be an integer >= 2, got {s!r}")
+        d1 = _int_matrix(data["d1"], "d1")
+        d2 = _int_matrix(data["d2"], "d2")
         witness = None
         if data.get("witness"):
-            witness = DesignWitness(
-                b=np.array(data["witness"]["b"], dtype=int),
-                c=np.array(data["witness"]["c"], dtype=int),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            witness = DesignWitness(b=_int_matrix(data["witness"]["b"], "b"), c=_int_matrix(data["witness"]["c"], "c"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed bundle: {exc}") from exc
-    if d1.ndim != 2 or d2.ndim != 2 or d1.shape[0] != d2.shape[0]:
+    if d1.shape[0] != d2.shape[0]:
         raise ParseError("bundle matrices have inconsistent shapes")
+    report = data.get("report", {})
+    if not isinstance(report, dict) or not (report.get("omega") is None or type(report["omega"]) is int):
+        raise ParseError("bundle report must be an object with an integer or null omega")
     return CoupledDesign(d1=d1, d2=d2, s=s, witness=witness), data
+
+
+def report_disagreement(data: dict, design: CoupledDesign, report: VerificationReport | None = None) -> str | None:
+    """The first summary key on which the bundle's stored report disagrees
+    with re-verification at the stored omega (2 when none is stored), or
+    None.  `report` is reused when it was checked at that omega."""
+    stored = data.get("report", {})
+    omega = 2 if stored.get("omega") is None else stored["omega"]
+    if report is None or report.omega_checked != omega:
+        report = full_report(design, omega=omega)
+    fresh = report_summary(report)
+    for key in ("passed", "condition_a", "condition_b", "d2_is_lh"):
+        if stored.get(key) is not None and stored[key] != fresh[key]:
+            return key
+    return None
 
 
 def load_bundle(path, verify: bool = True) -> tuple[CoupledDesign, dict]:
@@ -123,11 +137,7 @@ def load_bundle(path, verify: bool = True) -> tuple[CoupledDesign, dict]:
         raise ParseError(f"{path}: {exc}") from exc
     design, data = parse_bundle(data)
     if verify:
-        stored = data.get("report", {})
-        omega = stored.get("omega")
-        omega = 2 if omega is None else int(omega)
-        fresh = report_summary(full_report(design, omega=omega))
-        for key in ("passed", "condition_a", "condition_b", "d2_is_lh"):
-            if key in stored and stored[key] is not None and stored[key] != fresh[key]:
-                raise ParseError(f"{path}: stored report disagrees with re-verification on {key!r}")
+        key = report_disagreement(data, design)
+        if key is not None:
+            raise ParseError(f"{path}: stored report disagrees with re-verification on {key!r}")
     return design, data

@@ -15,8 +15,8 @@ import os
 import sys
 
 from .arrays import make_oa, to_continuous
-from .bundle import design_to_bundle, load_bundle, report_summary, save_bundle
-from .construct import DesignFamily, build_design
+from .bundle import design_to_bundle, load_bundle, report_disagreement, save_bundle
+from .construct import METHODS, DesignFamily, build_design
 from .criteria import CRITERIA, optimize_d2, score
 from .design import CoupledDesign
 from .errors import DesignError, InfeasibleParameters, ParseError
@@ -24,28 +24,28 @@ from .oabuild import load_matrix, load_oa, save_oa
 from .verify import VerificationReport, full_report
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DCD_SEED", "0"))
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
 def _add_generate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", required=True, choices=["c1", "c2", "c3-case1", "c3-case2", "c3-custom"])
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--s", type=int, required=True, help="number of qualitative levels")
     p.add_argument("--lambda", dest="lam", type=int, default=1, help="stack count (c1, c2)")
     p.add_argument("--u", type=int, default=3, help="independent columns (c3-case2)")
     p.add_argument("--q", type=int, default=None, help="qualitative factors (default s)")
     p.add_argument("--p", type=int, default=None, help="quantitative factors (default per method)")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default env DCD_SEED or 0)")
+    p.add_argument("--seed", type=int, default=os.environ.get("DCD_SEED", "0"), help="root seed (default env DCD_SEED or 0)")
     p.add_argument("--oa", action="append", default=None, metavar="FILE", help="input array file(s) for c1/c2")
     p.add_argument("--g", metavar="FILE", help="strength-3 array file (c3-case1)")
     p.add_argument("--a", metavar="FILE", help="column pool file (c3-custom)")
     p.add_argument("--b", metavar="FILE", help="companion array file (c3-custom)")
-    p.add_argument("--select", help="comma-separated pool column indices for d1")
+    p.add_argument("--select", type=_int_list, help="comma-separated pool column indices for d1")
     p.add_argument("--shuffle-split", action="store_true", help="random column split (c3-case1)")
     p.add_argument("--output", "-o", required=True, help="bundle file to write")
 
 
-def _family_from_args(args) -> tuple[DesignFamily, int]:
+def _family_from_args(args) -> DesignFamily:
     s = args.s
     q = args.q
     arrays = None
@@ -61,22 +61,8 @@ def _family_from_args(args) -> tuple[DesignFamily, int]:
         a = load_oa(args.a)
     if args.b:
         b = load_oa(args.b)
-    select = None
-    if args.select:
-        select = tuple(int(v) for v in args.select.split(","))
     if q is None:
         q = a.n_cols - 1 if (args.method == "c3-custom" and a is not None) else s
-    if args.p is not None:
-        p = args.p
-    elif args.method == "c3-case2":
-        p = (args.u - 2) * s * s
-    elif args.method == "c3-case1":
-        m = g.n_cols if g is not None else s + 1
-        p = max(m - q - 1, 0)
-    elif args.method == "c3-custom":
-        p = b.n_cols if b is not None else 0
-    else:
-        p = s
     lam = args.lam
     if args.method == "c1" and arrays is not None:
         lam = len(arrays)
@@ -84,18 +70,19 @@ def _family_from_args(args) -> tuple[DesignFamily, int]:
         method=args.method,
         s=s,
         q=q,
-        p=p,
+        p=args.p,
         lam=lam,
         u=args.u,
         arrays=arrays,
         g=g,
         a=a,
         b=b,
-        select=select,
+        select=args.select,
         shuffle_split=args.shuffle_split,
     )
-    seed = args.seed if args.seed is not None else _default_seed()
-    return family, seed
+    if family.p is None:
+        family.p = METHODS[family.method].default_p(family)
+    return family
 
 
 def _print_report(report: VerificationReport, out=None) -> None:
@@ -142,32 +129,31 @@ def _parameters(family: DesignFamily) -> dict:
 
 
 def cmd_generate(args) -> int:
-    family, seed = _family_from_args(args)
-    design = build_design(family, seed)
+    family = _family_from_args(args)
+    design = build_design(family, args.seed)
     report = full_report(design, omega=min(2, design.q))
     _print_report(report)
-    bundle = design_to_bundle(design, report, family.method, _parameters(family), seed)
+    bundle = design_to_bundle(design, report, family.method, _parameters(family), args.seed)
     save_bundle(bundle, args.output)
     print(f"wrote {args.output}")
     return 0 if report.passed else 1
 
 
 def cmd_optimize(args) -> int:
-    family, seed = _family_from_args(args)
+    family = _family_from_args(args)
     design, trajectory = optimize_d2(
         family,
         criterion=args.criterion,
         restarts=args.restarts,
-        seed=seed,
+        seed=args.seed,
         swap_steps=args.swap_steps,
-        parallel=args.parallel,
     )
     report = full_report(design, omega=min(2, design.q))
     best = score(design.d2, args.criterion)
     print(f"criterion {best.name} ({best.sense}): best {best.value:.6f} over {args.restarts} restarts")
     _print_report(report)
     extra = {"criterion": args.criterion, "restarts": args.restarts, "trajectory": trajectory}
-    bundle = design_to_bundle(design, report, family.method, _parameters(family), seed, extra=extra)
+    bundle = design_to_bundle(design, report, family.method, _parameters(family), args.seed, extra=extra)
     save_bundle(bundle, args.output)
     print(f"wrote {args.output}")
     return 0 if report.passed else 1
@@ -196,12 +182,10 @@ def cmd_verify(args) -> int:
     _print_report(report)
     ok = report.passed
     if data is not None:
-        stored = data.get("report", {})
-        fresh = report_summary(full_report(design, omega=stored.get("omega") or 2))
-        for key in ("passed", "condition_a", "condition_b", "d2_is_lh"):
-            if key in stored and stored[key] is not None and stored[key] != fresh[key]:
-                print(f"stored report disagrees with re-verification on {key!r}")
-                ok = False
+        key = report_disagreement(data, design, report)
+        if key is not None:
+            print(f"stored report disagrees with re-verification on {key!r}")
+            ok = False
     return 0 if ok else 1
 
 
@@ -213,11 +197,10 @@ def cmd_export(args) -> int:
     elif fmt == "oa-text":
         save_oa(make_oa(design.d1, design.s, min(2, design.q)), args.output)
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
         header = [f"z{i + 1}" for i in range(design.q)] + [f"x{i + 1}" for i in range(design.p)]
         lines = [",".join(header)]
         if args.continuous:
-            cont = to_continuous(design.d2, seed)
+            cont = to_continuous(design.d2, args.seed)
             quant_rows = [[f"{v:.17g}" for v in row] for row in cont]
         else:
             quant_rows = [[str(v) for v in row] for row in design.d2]
@@ -247,14 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--criterion", choices=sorted(CRITERIA), default="maximin")
     opt.add_argument("--restarts", type=int, default=10)
     opt.add_argument("--swap-steps", type=int, default=0, help="pairwise-swap climbing steps per restart")
-    opt.add_argument("--parallel", action="store_true", help="run restarts concurrently")
     opt.set_defaults(func=cmd_optimize)
 
     exp = sub.add_parser("export", help="export a bundle as csv, json, or array text")
     exp.add_argument("path", help="bundle file")
     exp.add_argument("--format", choices=["csv", "json", "oa-text"], default="csv")
     exp.add_argument("--continuous", action="store_true", help="map quantitative levels to points in [0,1)")
-    exp.add_argument("--seed", type=int, default=None, help="seed for the continuous mapping")
+    exp.add_argument("--seed", type=int, default=os.environ.get("DCD_SEED", "0"), help="seed for the continuous mapping (default env DCD_SEED or 0)")
     exp.add_argument("--output", "-o", required=True)
     exp.set_defaults(func=cmd_export)
 
@@ -264,6 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, minimum in (("seed", 0), ("restarts", 1), ("swap_steps", 0)):
+        if getattr(args, name, minimum) < minimum:
+            parser.error(f"--{name.replace('_', '-')} must be at least {minimum}")
     try:
         return args.func(args)
     except InfeasibleParameters as exc:

@@ -21,11 +21,18 @@ linear columns over GF(s) for any prime power s (see the functions for the
 canonical column order).
 
 Every constructor verifies its output before returning it.
+
+``METHODS`` maps each command-line method name to its steps: feasibility
+check, default p, input arrays, plan sampler and assembly.  ``build_design``
+and ``optimize_d2`` resolve a family's inputs once per call through
+``_family_inputs``; each plan then only validates, assembles and expands.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +48,7 @@ from .errors import (
     PreconditionFailed,
     UTooSmall,
 )
-from .gf import GaloisField, is_prime_power
+from .gf import MAX_ORDER, GaloisField, is_prime_power
 from .oabuild import bush_oa, is_block_form, linear_column, normalize_block_form
 from .rng import as_generator, derive_seed
 from .verify import check_projections, max_qualitative_factors
@@ -50,21 +57,24 @@ _EXPAND_STREAM = 1
 _SPLIT_STREAM = 2
 
 
-def _expansion_rng(plan: PermutationPlan):
-    return as_generator(derive_seed(plan.seed, _EXPAND_STREAM))
-
-
-def _check_perm(arr, size: int, what: str) -> np.ndarray:
-    a = np.asarray(arr, dtype=int)
-    if a.shape != (size,) or not np.array_equal(np.sort(a), np.arange(size)):
-        raise CellNotPermutation(f"{what} is not a permutation of 0..{size - 1}")
-    return a
+def _plan_perms(field, shape: tuple, what: str) -> np.ndarray:
+    """The plan field, checked to have `shape` with every vector along its
+    last axis a permutation of 0..shape[-1]-1."""
+    if field is None:
+        raise DimensionMismatch(f"plan must carry {what}s of shape {shape}")
+    if field.size == 0 and math.prod(shape) == 0:
+        field = field.reshape(shape)
+    if field.shape != shape:
+        raise DimensionMismatch(f"plan {what}s must have shape {shape}, got {field.shape}")
+    if not (np.sort(field, axis=-1) == np.arange(shape[-1])).all():
+        raise CellNotPermutation(f"a {what} is not a permutation of 0..{shape[-1] - 1}")
+    return field
 
 
 def _block_form_input(a: OrthogonalArray) -> OrthogonalArray:
     if is_block_form(a.matrix, a.levels[-1]):
         return a
-    warnings.warn("input array reordered into block form", stacklevel=3)
+    warnings.warn("input array reordered into block form", stacklevel=4)
     fixed = normalize_block_form(a)
     if not is_block_form(fixed.matrix, a.levels[-1]):
         raise NotBlockForm("last column cannot be brought into consecutive block form")
@@ -72,7 +82,7 @@ def _block_form_input(a: OrthogonalArray) -> OrthogonalArray:
 
 
 def _finish(d1, b, c, s, plan) -> CoupledDesign:
-    d2 = level_expand(s * b + c, _expansion_rng(plan))
+    d2 = level_expand(s * b + c, as_generator(derive_seed(plan.seed, _EXPAND_STREAM)))
     design = CoupledDesign(d1=d1, d2=d2, s=s, witness=DesignWitness(b=b, c=c, plan=plan))
     if not np.array_equal(design.d2 // s, s * b + c):
         raise RuntimeError("internal error: expansion broke the certificate identity")
@@ -81,42 +91,37 @@ def _finish(d1, b, c, s, plan) -> CoupledDesign:
     return design
 
 
+def _permutations(rng, shape: tuple, size: int) -> np.ndarray:
+    """Array of shape (*shape, size) filled in row-major order with one
+    rng.permutation(size) per vector along the last axis."""
+    out = np.empty((*shape, size), dtype=int)
+    for index in np.ndindex(*shape):
+        out[index] = rng.permutation(size)
+    return out
+
+
 def sample_plan_stacked(s: int, lam: int, p: int, seed: int = 0) -> PermutationPlan:
     """Random plan for construct_c1."""
     rng = as_generator(derive_seed(seed, 0))
-    v = [rng.permutation(lam) for _ in range(p)]
-    w = [[rng.permutation(s) for _ in range(lam)] for _ in range(p)]
-    return PermutationPlan(seed=seed, v=v, w=w)
+    v = _permutations(rng, (p,), lam)
+    return PermutationPlan(seed=seed, v=v, w=_permutations(rng, (p, lam), s))
 
 
 def sample_plan_replicated(s: int, lam: int, p: int, seed: int = 0) -> PermutationPlan:
     """Random plan for construct_c2."""
     rng = as_generator(derive_seed(seed, 0))
-    b_cells = np.empty((s * s, p, lam), dtype=int)
-    for i in range(s * s):
-        for k in range(p):
-            b_cells[i, k] = rng.permutation(lam)
-    w = [rng.permutation(s) for _ in range(p)]
-    return PermutationPlan(seed=seed, b_cells=b_cells, w=w)
+    b_cells = _permutations(rng, (s * s, p), lam)
+    return PermutationPlan(seed=seed, b_cells=b_cells, w=_permutations(rng, (p,), s))
 
 
 def sample_plan_selected(s: int, p: int, seed: int = 0) -> PermutationPlan:
     """Random plan for construct_c3."""
     rng = as_generator(derive_seed(seed, 0))
-    return PermutationPlan(seed=seed, c_perms=[rng.permutation(s) for _ in range(p)])
+    return PermutationPlan(seed=seed, c_perms=_permutations(rng, (p,), s))
 
 
-def construct_c1(arrays, p: int, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
-    """Stack lam block-form arrays OA(s^2, q+1, s, 2) and permute.
-
-    d1 drops the shared block column.  Column k of b repeats plan.v[k]
-    (a permutation of the lam slices) s^2 times each; column k of c stacks
-    plan.w[k][j] (a level permutation per slice) repeated s times.  The
-    quantitative design expands s*b + c.  Arrays may be identical or not;
-    different ones can raise the strength of d1.
-    """
-    lam = len(arrays)
-    if lam < 1:
+def _stacked_inputs(arrays) -> list[OrthogonalArray]:
+    if len(arrays) < 1:
         raise DimensionMismatch("need at least one input array")
     arrays = [_block_form_input(a) for a in arrays]
     s = arrays[0].levels[-1]
@@ -125,18 +130,41 @@ def construct_c1(arrays, p: int, plan: PermutationPlan | None = None, *, seed: i
         raise DimensionMismatch("input arrays must share run size, columns, and levels")
     if shape[0] != s * s:
         raise DimensionMismatch(f"expected {s * s} rows per array, got {shape[0]}")
-    if plan is None:
-        plan = sample_plan_stacked(s, lam, p, seed)
-    if plan.v is None or plan.w is None or len(plan.v) != p or len(plan.w) != p:
-        raise DimensionMismatch(f"plan must carry {p} slice and {p} level permutations")
+    return arrays
+
+
+def _assemble_stacked(arrays, p: int, plan: PermutationPlan) -> CoupledDesign:
+    lam, s = len(arrays), arrays[0].levels[-1]
+    v = _plan_perms(plan.v, (p, lam), "slice permutation")
+    w = _plan_perms(plan.w, (p, lam, s), "level permutation")
     d1 = np.vstack([a.matrix[:, :-1] for a in arrays])
-    b = np.column_stack([np.repeat(_check_perm(vk, lam, "slice permutation"), s * s) for vk in plan.v]) if p else np.empty((lam * s * s, 0), dtype=int)
-    c_cols = []
-    for k in range(p):
-        if len(plan.w[k]) != lam:
-            raise DimensionMismatch(f"plan.w[{k}] must hold {lam} level permutations")
-        c_cols.append(np.concatenate([np.repeat(_check_perm(wkj, s, "level permutation"), s) for wkj in plan.w[k]]))
-    c = np.column_stack(c_cols) if p else np.empty((lam * s * s, 0), dtype=int)
+    b = np.repeat(v.T, s * s, axis=0)
+    c = np.repeat(w.transpose(1, 2, 0).reshape(lam * s, p), s, axis=0)
+    return _finish(d1, b, c, s, plan)
+
+
+def construct_c1(arrays, p: int, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
+    """Stack lam block-form arrays OA(s^2, q+1, s, 2) and permute.
+
+    d1 drops the shared block column.  Column k of b repeats plan.v[k]
+    (a permutation of the lam slices) s^2 times each; column k of c stacks
+    plan.w[k, j] (a level permutation per slice) repeated s times.  The
+    quantitative design expands s*b + c.  Arrays may be identical or not;
+    different ones can raise the strength of d1.
+    """
+    arrays = _stacked_inputs(arrays)
+    if plan is None:
+        plan = sample_plan_stacked(arrays[0].levels[-1], len(arrays), p, seed)
+    return _assemble_stacked(arrays, p, plan)
+
+
+def _assemble_replicated(a: OrthogonalArray, lam: int, p: int, plan: PermutationPlan) -> CoupledDesign:
+    s = a.levels[-1]
+    cells = _plan_perms(plan.b_cells, (s * s, p, lam), "b cell")
+    w = _plan_perms(plan.w, (p, s), "level permutation")
+    d1 = np.vstack([a.matrix[:, :-1]] * lam)
+    b = cells.transpose(2, 0, 1).reshape(lam * s * s, p)
+    c = np.tile(np.repeat(w.T, s, axis=0), (lam, 1))
     return _finish(d1, b, c, s, plan)
 
 
@@ -148,43 +176,15 @@ def construct_c2(array: OrthogonalArray, lam: int, p: int, plan: PermutationPlan
     0..lam-1.  Column k of c tiles one level permutation plan.w[k] across
     all copies.
     """
-    a = _block_form_input(array)
-    s = a.levels[-1]
-    if a.n_rows != s * s:
-        raise DimensionMismatch(f"expected {s * s} rows, got {a.n_rows}")
+    (a,) = _stacked_inputs([array])
     if lam < 1:
         raise DimensionMismatch(f"need lam >= 1, got {lam}")
     if plan is None:
-        plan = sample_plan_replicated(s, lam, p, seed)
-    cells = plan.b_cells
-    if cells is None or plan.w is None:
-        raise DimensionMismatch("plan must carry b_cells and w")
-    cells = np.asarray(cells, dtype=int)
-    if cells.shape != (s * s, p, lam):
-        raise DimensionMismatch(f"b_cells must have shape {(s * s, p, lam)}, got {cells.shape}")
-    if len(plan.w) != p:
-        raise DimensionMismatch(f"plan must carry {p} level permutations")
-    for i in range(s * s):
-        for k in range(p):
-            _check_perm(cells[i, k], lam, f"b cell ({i}, {k})")
-    n = lam * s * s
-    d1 = np.vstack([a.matrix[:, :-1]] * lam)
-    b = np.empty((n, p), dtype=int)
-    for j in range(lam):
-        b[j * s * s : (j + 1) * s * s, :] = cells[:, :, j]
-    c_cols = [np.tile(np.repeat(_check_perm(plan.w[k], s, "level permutation"), s), lam) for k in range(p)]
-    c = np.column_stack(c_cols) if p else np.empty((n, 0), dtype=int)
-    return _finish(d1, b, c, s, plan)
+        plan = sample_plan_replicated(a.levels[-1], lam, p, seed)
+    return _assemble_replicated(a, lam, p, plan)
 
 
-def construct_c3(a: OrthogonalArray, b: OrthogonalArray, select, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
-    """Select q columns of the pool A as d1 and permute the leftover column.
-
-    Requires that every (a_i, a_j, b_k) triple over distinct pool columns is
-    fully balanced at strength 3 (checked, not assumed).  Column k of c
-    applies plan.c_perms[k] to the levels of the one unselected pool column;
-    the quantitative design expands s*b + c.
-    """
+def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
     s = a.levels[0]
     n = a.n_rows
     p = b.n_cols
@@ -205,16 +205,29 @@ def construct_c3(a: OrthogonalArray, b: OrthogonalArray, select, plan: Permutati
                 triple = np.column_stack([a.matrix[:, i], a.matrix[:, j], b.matrix[:, k]])
                 if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
                     raise PreconditionFailed(f"triple (a{i}, a{j}, b{k}) is not fully balanced")
-    if plan is None:
-        plan = sample_plan_selected(s, p, seed)
-    if plan.c_perms is None or len(plan.c_perms) != p:
-        raise DimensionMismatch(f"plan must carry {p} level permutations")
+    return a, b, select
+
+
+def _assemble_selected(a: OrthogonalArray, b: OrthogonalArray, select: tuple, plan: PermutationPlan) -> CoupledDesign:
+    s = a.levels[0]
+    c_perms = _plan_perms(plan.c_perms, (b.n_cols, s), "level permutation")
     (astar_index,) = set(range(a.n_cols)) - set(select)
-    astar = a.matrix[:, astar_index]
-    d1 = a.matrix[:, list(select)]
-    c_cols = [_check_perm(plan.c_perms[k], s, "level permutation")[astar] for k in range(p)]
-    c = np.column_stack(c_cols) if p else np.empty((n, 0), dtype=int)
-    return _finish(d1, b.matrix.copy(), c, s, plan)
+    c = c_perms[:, a.matrix[:, astar_index]].T
+    return _finish(a.matrix[:, list(select)], b.matrix.copy(), c, s, plan)
+
+
+def construct_c3(a: OrthogonalArray, b: OrthogonalArray, select, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
+    """Select q columns of the pool A as d1 and permute the leftover column.
+
+    Requires that every (a_i, a_j, b_k) triple over distinct pool columns is
+    fully balanced at strength 3 (checked, not assumed).  Column k of c
+    applies plan.c_perms[k] to the levels of the one unselected pool column;
+    the quantitative design expands s*b + c.
+    """
+    a, b, select = _selection_inputs(a, b, select)
+    if plan is None:
+        plan = sample_plan_selected(a.levels[0], b.n_cols, seed)
+    return _assemble_selected(a, b, select, plan)
 
 
 def split_strength3_inputs(g: OrthogonalArray, q: int, rng=None, shuffle: bool = False):
@@ -328,102 +341,180 @@ def _default_block_array(s: int, q: int) -> OrthogonalArray:
     return OrthogonalArray(base.matrix[:, cols], (s,) * (q + 1), 2)
 
 
+def _check_field(s: int, advice: str) -> None:
+    if not is_prime_power(s) or s > MAX_ORDER:
+        raise InfeasibleParameters(f"no built-in field of order s={s} (prime powers up to {MAX_ORDER}); {advice}")
+
+
+def _check_stacked(family: DesignFamily) -> None:
+    if family.lam < 1:
+        raise InfeasibleParameters(f"need lam >= 1, got {family.lam}")
+    if family.arrays is None:
+        _check_field(family.s, "supply catalogue arrays for it")
+    elif any(a.n_cols != family.q + 1 for a in family.arrays):
+        raise InfeasibleParameters(f"input arrays must have q+1={family.q + 1} columns")
+
+
+def _split_width(family: DesignFamily) -> int:
+    return family.g.n_cols if family.g is not None else family.s + 1
+
+
+def _check_split(family: DesignFamily) -> None:
+    if family.g is None:
+        if family.s < 3:
+            raise InfeasibleParameters(f"no built-in strength-3 array for s={family.s}; supply one with --g")
+        _check_field(family.s, "supply a strength-3 array with --g")
+    m = _split_width(family)
+    if family.q + 1 + family.p > m:
+        raise InfeasibleParameters(f"q+1+p={family.q + 1 + family.p} exceeds the {m} available columns")
+
+
+def _check_regular(family: DesignFamily) -> None:
+    _check_field(family.s, "the linear-column method has no catalogue input")
+    if family.u < 3:
+        raise InfeasibleParameters(f"need u >= 3, got u={family.u}")
+    if family.p > (family.u - 2) * family.s**2:
+        raise InfeasibleParameters(f"p={family.p} exceeds the {(family.u - 2) * family.s**2} available columns")
+
+
+def _check_custom(family: DesignFamily) -> None:
+    if family.a is None or family.b is None:
+        raise InfeasibleParameters("custom method needs explicit pool and companion arrays")
+    if family.q + 1 != family.a.n_cols:
+        raise InfeasibleParameters(f"pool has {family.a.n_cols} columns; q must be {family.a.n_cols - 1}")
+
+
+def _stacked_family_inputs(family: DesignFamily) -> list[OrthogonalArray]:
+    if family.arrays is not None:
+        return _stacked_inputs(family.arrays)
+    return _stacked_inputs([_default_block_array(family.s, family.q)] * family.lam)
+
+
+def _c3_inputs(family: DesignFamily, a: OrthogonalArray, b: OrthogonalArray, first: int) -> tuple:
+    """Pool, companion cut to p columns and selection (by default the q
+    pool columns from `first` on), validated by _selection_inputs."""
+    if family.p < b.n_cols:
+        b = OrthogonalArray(b.matrix[:, : family.p], b.levels[: family.p], 1)
+    select = family.select if family.select is not None else tuple(range(first, first + family.q))
+    return _selection_inputs(a, b, select)
+
+
+def _split(family: DesignFamily, g: OrthogonalArray, seed: int | None) -> tuple:
+    rng = as_generator(derive_seed(seed, _SPLIT_STREAM)) if family.shuffle_split else None
+    return _c3_inputs(family, *split_strength3_inputs(g, family.q, rng=rng, shuffle=family.shuffle_split), 0)
+
+
+def _split_family_inputs(family: DesignFamily):
+    """The strength-3 array, split at once unless the split is drawn per seed."""
+    g = family.g if family.g is not None else bush_oa(GaloisField(family.s), 3)
+    return g if family.shuffle_split else _split(family, g, None)
+
+
+def _assemble_split(family: DesignFamily, inputs, plan: PermutationPlan) -> CoupledDesign:
+    if family.shuffle_split:
+        inputs = _split(family, inputs, plan.seed)
+    return _assemble_selected(*inputs, plan)
+
+
+def _regular_family_inputs(family: DesignFamily) -> tuple:
+    a, b = regular_inputs(GaloisField(family.s), family.u)
+    pool = OrthogonalArray(a.matrix[:, : family.q + 1], (family.s,) * (family.q + 1), 2)
+    return _c3_inputs(family, pool, b, 1)
+
+
+def _sample_selected(family: DesignFamily, seed: int) -> PermutationPlan:
+    return sample_plan_selected(family.s, family.p, seed)
+
+
+def _assemble_c3(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> CoupledDesign:
+    return _assemble_selected(*inputs, plan)
+
+
+@dataclass(frozen=True)
+class Method:
+    """The steps of one construction route on the family path.  `inputs`
+    builds and validates everything that does not depend on the seed; its
+    result is what `assemble` receives with each plan.  `default_p` is the
+    p the command line uses when none is given."""
+
+    check: Callable[[DesignFamily], None]
+    inputs: Callable[[DesignFamily], object]
+    sample: Callable[[DesignFamily, int], PermutationPlan]
+    assemble: Callable[[DesignFamily, object, PermutationPlan], CoupledDesign]
+    default_p: Callable[[DesignFamily], int] = lambda f: f.s
+
+
+METHODS = {
+    "c1": Method(
+        check=_check_stacked,
+        inputs=_stacked_family_inputs,
+        sample=lambda f, seed: sample_plan_stacked(f.s, f.lam, f.p, seed),
+        assemble=lambda f, arrays, plan: _assemble_stacked(arrays, f.p, plan),
+    ),
+    "c2": Method(
+        check=_check_stacked,
+        inputs=lambda f: _stacked_inputs(f.arrays[:1] if f.arrays else [_default_block_array(f.s, f.q)]),
+        sample=lambda f, seed: sample_plan_replicated(f.s, f.lam, f.p, seed),
+        assemble=lambda f, arrays, plan: _assemble_replicated(arrays[0], f.lam, f.p, plan),
+    ),
+    "c3-case1": Method(
+        check=_check_split,
+        inputs=_split_family_inputs,
+        sample=_sample_selected,
+        assemble=_assemble_split,
+        default_p=lambda f: max(_split_width(f) - f.q - 1, 0),
+    ),
+    "c3-case2": Method(
+        check=_check_regular,
+        inputs=_regular_family_inputs,
+        sample=_sample_selected,
+        assemble=_assemble_c3,
+        default_p=lambda f: (f.u - 2) * f.s**2,
+    ),
+    "c3-custom": Method(
+        check=_check_custom,
+        inputs=lambda f: _c3_inputs(f, f.a, f.b, 1),
+        sample=_sample_selected,
+        assemble=_assemble_c3,
+        default_p=lambda f: f.b.n_cols if f.b is not None else 0,
+    ),
+}
+
+
 def check_feasible(family: DesignFamily) -> None:
     """Raise InfeasibleParameters when a bound or capacity is violated."""
     s, q, p = family.s, family.q, family.p
     if s < 2:
         raise InfeasibleParameters(f"need at least 2 levels, got s={s}")
-    bound = max_qualitative_factors(s)
-    if q > bound:
+    if q > max_qualitative_factors(s):
         raise InfeasibleParameters(f"q={q} exceeds the maximum number of qualitative factors for s={s} (q <= s)")
     if q < 1:
         raise InfeasibleParameters(f"need at least one qualitative factor, got q={q}")
     if p < 0:
         raise InfeasibleParameters(f"negative quantitative factor count p={p}")
-    method = family.method
-    if method in ("c1", "c2"):
-        if family.lam < 1:
-            raise InfeasibleParameters(f"need lam >= 1, got {family.lam}")
-        if family.arrays is None and not is_prime_power(s):
-            raise InfeasibleParameters(f"s={s} is not a prime power; supply catalogue arrays for it")
-        if family.arrays is not None and any(a.n_cols != q + 1 for a in family.arrays):
-            raise InfeasibleParameters(f"input arrays must have q+1={q + 1} columns")
-    elif method == "c3-case1":
-        if family.g is None:
-            if not is_prime_power(s) or s < 3:
-                raise InfeasibleParameters(f"no built-in strength-3 array for s={s}; supply one with --g")
-            m = s + 1
-        else:
-            m = family.g.n_cols
-        if q + 1 + p > m:
-            raise InfeasibleParameters(f"q+1+p={q + 1 + p} exceeds the {m} available columns")
-    elif method == "c3-case2":
-        if not is_prime_power(s):
-            raise InfeasibleParameters(f"s={s} is not a prime power")
-        if family.u < 3:
-            raise InfeasibleParameters(f"need u >= 3, got u={family.u}")
-        if p > (family.u - 2) * s * s:
-            raise InfeasibleParameters(f"p={p} exceeds the {(family.u - 2) * s * s} available columns")
-    elif method == "c3-custom":
-        if family.a is None or family.b is None:
-            raise InfeasibleParameters("custom method needs explicit pool and companion arrays")
-        if q + 1 != family.a.n_cols:
-            raise InfeasibleParameters(f"pool has {family.a.n_cols} columns; q must be {family.a.n_cols - 1}")
-    else:
-        raise InfeasibleParameters(f"unknown method {method!r}")
+    if family.method not in METHODS:
+        raise InfeasibleParameters(f"unknown method {family.method!r}")
+    METHODS[family.method].check(family)
 
 
-def _family_inputs(family: DesignFamily, seed: int):
-    s, q, p = family.s, family.q, family.p
-    method = family.method
-    if method == "c1":
-        arrays = family.arrays if family.arrays is not None else [_default_block_array(s, q)] * family.lam
-        return {"arrays": arrays}
-    if method == "c2":
-        array = family.arrays[0] if family.arrays else _default_block_array(s, q)
-        return {"array": array}
-    if method == "c3-case1":
-        g = family.g if family.g is not None else bush_oa(GaloisField(s), 3)
-        rng = as_generator(derive_seed(seed, _SPLIT_STREAM))
-        a, b = split_strength3_inputs(g, q, rng=rng, shuffle=family.shuffle_split)
-        if p < b.n_cols:
-            b = OrthogonalArray(b.matrix[:, :p], b.levels[:p], 1)
-        select = family.select if family.select is not None else tuple(range(q))
-        return {"a": a, "b": b, "select": select}
-    if method == "c3-case2":
-        a, b = regular_inputs(GaloisField(s), family.u)
-        a_used = OrthogonalArray(a.matrix[:, : q + 1], (s,) * (q + 1), 2)
-        b_used = OrthogonalArray(b.matrix[:, :p], b.levels[:p], 1)
-        select = family.select if family.select is not None else tuple(range(1, q + 1))
-        return {"a": a_used, "b": b_used, "select": select}
-    if method == "c3-custom":
-        select = family.select if family.select is not None else tuple(range(1, q + 1))
-        b = family.b
-        if p < b.n_cols:
-            b = OrthogonalArray(b.matrix[:, :p], b.levels[:p], 1)
-        return {"a": family.a, "b": b, "select": select}
-    raise InfeasibleParameters(f"unknown method {family.method!r}")
+def _family_inputs(family: DesignFamily):
+    """Check the family and build its validated, seed-independent inputs;
+    build_design and optimize_d2 call this once per call."""
+    check_feasible(family)
+    return METHODS[family.method].inputs(family)
 
 
 def sample_family_plan(family: DesignFamily, seed: int) -> PermutationPlan:
-    if family.method == "c1":
-        return sample_plan_stacked(family.s, family.lam, family.p, seed)
-    if family.method == "c2":
-        return sample_plan_replicated(family.s, family.lam, family.p, seed)
-    return sample_plan_selected(family.s, family.p, seed)
+    return METHODS[family.method].sample(family, seed)
 
 
-def construct_from_plan(family: DesignFamily, plan: PermutationPlan, seed: int | None = None) -> CoupledDesign:
-    check_feasible(family)
-    inputs = _family_inputs(family, plan.seed if seed is None else seed)
-    if family.method == "c1":
-        return construct_c1(inputs["arrays"], family.p, plan)
-    if family.method == "c2":
-        return construct_c2(inputs["array"], family.lam, family.p, plan)
-    return construct_c3(inputs["a"], inputs["b"], inputs["select"], plan)
+def construct_from_plan(family: DesignFamily, inputs, plan: PermutationPlan) -> CoupledDesign:
+    """Validate `plan`, then assemble, expand and verify its design from
+    the `inputs` that _family_inputs resolved for `family`."""
+    return METHODS[family.method].assemble(family, inputs, plan)
 
 
 def build_design(family: DesignFamily, seed: int = 0) -> CoupledDesign:
     """Sample a plan from `seed` and run the family's construction."""
-    check_feasible(family)
-    return construct_from_plan(family, sample_family_plan(family, seed), seed)
+    inputs = _family_inputs(family)
+    return construct_from_plan(family, inputs, sample_family_plan(family, seed))

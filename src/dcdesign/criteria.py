@@ -9,12 +9,11 @@ fixed seed reproduces results bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .construct import DesignFamily, build_design, construct_from_plan, sample_family_plan
+from .construct import DesignFamily, _family_inputs, construct_from_plan, sample_family_plan
 from .design import CoupledDesign
 from .rng import as_generator, derive_seed
 
@@ -78,42 +77,22 @@ def _improves(candidate: float, incumbent: float, sense: str) -> bool:
 
 
 def _plan_cells(plan):
-    """The mutable permutation vectors inside a plan, for swap moves."""
-    cells = []
-    if plan.v is not None:
-        cells.extend(plan.v)
-    if plan.w is not None:
-        for entry in plan.w:
-            if isinstance(entry, (list, tuple)):
-                cells.extend(entry)
-            else:
-                cells.append(entry)
-    if plan.b_cells is not None:
-        flat = plan.b_cells.reshape(-1, plan.b_cells.shape[-1])
-        cells.extend(flat[i] for i in range(flat.shape[0]))
-    if plan.c_perms is not None:
-        cells.extend(plan.c_perms)
-    return cells
+    """The mutable permutation vectors inside a plan, for swap moves: the
+    rows along the last axis of each set field, in field order."""
+    return [row for field in plan.fields().values() for row in field.reshape(-1, field.shape[-1])]
 
 
-def _swap_climb(family, plan, criterion, steps, rng):
-    """Pairwise-swap hill climbing inside the plan's permutation cells.
+def _swap_climb(family, inputs, plan, criterion, steps, rng):
+    """Pairwise-swap hill climbing inside the plan's permutation cells; with
+    steps=0, just the plan's design and its score.
 
     Every move stays inside the construction family, so each candidate is a
     valid design by construction and no repair step exists.
     """
-    design = construct_from_plan(family, plan)
+    design = construct_from_plan(family, inputs, plan)
     best = score(design.d2, criterion)
     for _ in range(steps):
-        trial = replace(
-            plan,
-            v=None if plan.v is None else [p.copy() for p in plan.v],
-            w=None
-            if plan.w is None
-            else [[p.copy() for p in entry] if isinstance(entry, (list, tuple)) else entry.copy() for entry in plan.w],
-            b_cells=None if plan.b_cells is None else plan.b_cells.copy(),
-            c_perms=None if plan.c_perms is None else [p.copy() for p in plan.c_perms],
-        )
+        trial = replace(plan, **{name: field.copy() for name, field in plan.fields().items()})
         cells = _plan_cells(trial)
         if not cells:
             break
@@ -122,7 +101,7 @@ def _swap_climb(family, plan, criterion, steps, rng):
             continue
         i, j = rng.choice(cell.shape[0], size=2, replace=False)
         cell[i], cell[j] = cell[j], cell[i]
-        candidate = construct_from_plan(family, trial)
+        candidate = construct_from_plan(family, inputs, trial)
         value = score(candidate.d2, criterion)
         if _improves(value.value, best.value, value.sense):
             plan, design, best = trial, candidate, value
@@ -135,7 +114,6 @@ def optimize_d2(
     restarts: int = 10,
     seed: int = 0,
     swap_steps: int = 0,
-    parallel: bool = False,
 ) -> tuple[CoupledDesign, list[float]]:
     """Best design over `restarts` independently seeded plans.
 
@@ -150,22 +128,13 @@ def optimize_d2(
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; choose from {sorted(CRITERIA)}")
 
-    def run(r: int):
+    inputs = _family_inputs(family)
+    results = []
+    for r in range(restarts):
         child = derive_seed(seed, r)
-        if swap_steps:
-            plan = sample_family_plan(family, child)
-            design, best = _swap_climb(family, plan, criterion, swap_steps, as_generator(derive_seed(child, 3)))
-            return design, best.value
-        design = build_design(family, child)
-        return design, score(design.d2, criterion).value
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
-
-    trajectory = [value for _, value in results]
+        plan = sample_family_plan(family, child)
+        results.append(_swap_climb(family, inputs, plan, criterion, swap_steps, as_generator(derive_seed(child, 3))))
+    trajectory = [best.value for _, best in results]
     sense = CRITERIA[criterion]
     best_index = 0
     for r in range(1, restarts):

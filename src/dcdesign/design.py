@@ -6,28 +6,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
+PLAN_FIELDS = ("v", "w", "b_cells", "c_perms")
+
 
 @dataclass
 class PermutationPlan:
     """Explicit permutation choices for a construction.
 
     The seed drives anything not given: unset fields are sampled, and the
-    level-expansion stream is always derived from it.  Which fields apply
+    level-expansion stream is always derived from it.  Set fields are int
+    arrays (lists are converted on construction), and which ones apply
     depends on the construction:
 
-    - stacked-array method: `v` (p permutations of 0..lam-1) and `w`
-      (p lists of lam permutations of 0..s-1);
-    - replicated-array method: `b_cells` (array of shape (s*s, p, lam),
-      each cell a permutation of 0..lam-1) and `w` (p permutations of
-      0..s-1);
-    - column-selection method: `c_perms` (p level permutations of 0..s-1).
+    - stacked-array method: `v` of shape (p, lam), each row a permutation of
+      0..lam-1, and `w` of shape (p, lam, s), each row a permutation of
+      0..s-1;
+    - replicated-array method: `b_cells` of shape (s*s, p, lam), each cell a
+      permutation of 0..lam-1, and `w` of shape (p, s);
+    - column-selection method: `c_perms` of shape (p, s).
     """
 
     seed: int = 0
-    v: list | None = None
-    w: list | None = None
+    v: np.ndarray | None = None
+    w: np.ndarray | None = None
     b_cells: np.ndarray | None = None
-    c_perms: list | None = None
+    c_perms: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, value in self.fields().items():
+            try:
+                setattr(self, name, np.asarray(value, dtype=int))
+            except ValueError as exc:
+                raise DimensionMismatch(f"plan field {name} is not a regular integer array: {exc}") from exc
+
+    def fields(self) -> dict:
+        """The set permutation fields, in declaration order."""
+        return {name: getattr(self, name) for name in PLAN_FIELDS if getattr(self, name) is not None}
 
 
 @dataclass

@@ -255,3 +255,52 @@ def test_build_design_used_by_cli_matches_library(tmp_path):
     family = DesignFamily(method="c3-case1", s=3, q=1, p=2)
     direct = build_design(family, 11)
     assert np.array_equal(design.d2, direct.d2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--method", "c1", "--s", "2", "--seed", "-1"],
+        ["optimize", "--method", "c1", "--s", "2", "--restarts", "0"],
+        ["optimize", "--method", "c1", "--s", "2", "--swap-steps", "-1"],
+        ["generate", "--method", "c3-case2", "--s", "2", "--select", "1,x"],
+    ],
+)
+def test_malformed_numbers_are_usage_errors(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+
+
+def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("DCD_SEED", "seven")
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--method", "c1", "--s", "2", "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", ["c1", "c2", "c3-case1", "c3-case2"])
+def test_field_too_large_is_infeasible(method, tmp_path, capsys):
+    assert main(["generate", "--method", method, "--s", "37", "-o", str(tmp_path / "x.json")]) == 3
+    assert "built-in field" in capsys.readouterr().err
+
+
+def test_verify_bundle_runs_full_report_once(tmp_path, monkeypatch):
+    import dcdesign.bundle
+    import dcdesign.cli
+
+    out = tmp_path / "d.json"
+    assert main(["generate", "--method", "c1", "--s", "3", "--seed", "2", "-o", str(out)]) == 0
+    calls = []
+    original = dcdesign.cli.full_report
+
+    def counted(design, omega=2):
+        calls.append(omega)
+        return original(design, omega)
+
+    monkeypatch.setattr(dcdesign.cli, "full_report", counted)
+    monkeypatch.setattr(dcdesign.bundle, "full_report", counted)
+    assert main(["verify", str(out)]) == 0
+    assert calls == [2]
+    assert main(["verify", str(out), "--omega", "1"]) == 0
+    assert calls == [2, 1, 2]

@@ -12,7 +12,9 @@ from dcdesign.construct import (
     construct_c2,
     construct_c3,
     regular_inputs,
+    sample_plan_replicated,
     sample_plan_selected,
+    sample_plan_stacked,
     split_strength3_inputs,
 )
 from dcdesign.design import PermutationPlan
@@ -247,3 +249,109 @@ def test_build_design_deterministic():
     assert np.array_equal(d1.d2, d2.d2)
     assert derive_seed(12, 0) == derive_seed(12, 0)
     assert derive_seed(12, 0) != derive_seed(12, 1)
+
+
+def loop_stacked_certificate(plan, s, lam, p):
+    """Column-by-column assembly of (b, c) for the stacked route, as the
+    definition reads: b repeats v[k] s^2 times per slice, c stacks w[k][j]
+    with each level repeated s times."""
+    b = np.column_stack([np.repeat(plan.v[k], s * s) for k in range(p)])
+    c = np.column_stack([np.concatenate([np.repeat(plan.w[k][j], s) for j in range(lam)]) for k in range(p)])
+    return b, c
+
+
+def loop_replicated_certificate(plan, s, lam, p):
+    b = np.empty((lam * s * s, p), dtype=int)
+    for j in range(lam):
+        for i in range(s * s):
+            for k in range(p):
+                b[j * s * s + i, k] = plan.b_cells[i, k, j]
+    c = np.column_stack([np.tile(np.repeat(plan.w[k], s), lam) for k in range(p)])
+    return b, c
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vectorized_certificates_match_loop_assembly(seed):
+    base = bush_oa(GaloisField(3), 2)
+    design = construct_c1([base] * 2, 3, seed=seed)
+    b, c = loop_stacked_certificate(design.witness.plan, 3, 2, 3)
+    assert np.array_equal(design.witness.b, b) and np.array_equal(design.witness.c, c)
+    design = construct_c2(base, 4, 3, seed=seed)
+    b, c = loop_replicated_certificate(design.witness.plan, 3, 4, 3)
+    assert np.array_equal(design.witness.b, b) and np.array_equal(design.witness.c, c)
+    a, comp = regular_inputs(GaloisField(3), 3)
+    design = construct_c3(a, comp, select=(1, 2, 3), seed=seed)
+    astar = a.matrix[:, 0]
+    c = np.column_stack([design.witness.plan.c_perms[k][astar] for k in range(comp.n_cols)])
+    assert np.array_equal(design.witness.c, c)
+
+
+def test_sampled_plans_are_regular_arrays():
+    stacked = sample_plan_stacked(3, 2, 4, seed=1)
+    assert stacked.v.shape == (4, 2) and stacked.w.shape == (4, 2, 3)
+    replicated = sample_plan_replicated(3, 2, 4, seed=1)
+    assert replicated.b_cells.shape == (9, 4, 2) and replicated.w.shape == (4, 3)
+    assert sample_plan_selected(3, 4, seed=1).c_perms.shape == (4, 3)
+    empty = sample_plan_selected(3, 0, seed=1)
+    assert empty.c_perms.shape == (0, 3)
+
+
+def test_plan_fields_are_coerced_and_ragged_input_rejected():
+    plan = PermutationPlan(seed=0, v=[[0, 1], [1, 0]], w=[[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
+    assert isinstance(plan.v, np.ndarray) and plan.w.shape == (2, 2, 2)
+    assert list(plan.fields()) == ["v", "w"]
+    with pytest.raises(DimensionMismatch):
+        PermutationPlan(seed=0, c_perms=[[0, 1], [0]])
+
+
+def test_plan_of_wrong_shape_is_rejected():
+    a1 = make_oa(ref.A1_9RUN, 3, 2)
+    plan = sample_plan_replicated(3, 3, 2, seed=0)
+    with pytest.raises(DimensionMismatch):
+        construct_c2(a1, 3, 3, plan)
+    with pytest.raises(DimensionMismatch):
+        construct_c1(stacked_arrays(), 3, PermutationPlan(seed=0, v=[[0, 1, 2]] * 3))
+
+
+def test_family_path_matches_direct_constructor():
+    family = DesignFamily(method="c3-case2", s=3, q=3, p=9, u=3)
+    design = build_design(family, seed=5)
+    a, b = regular_inputs(GaloisField(3), 3)
+    direct = construct_c3(a, b, select=(1, 2, 3), plan=design.witness.plan)
+    assert np.array_equal(design.d2, direct.d2)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_inputs_resolved_once_per_search(monkeypatch):
+    from dcdesign import construct
+    from dcdesign.criteria import optimize_d2
+
+    fields = count_calls(monkeypatch, construct, "GaloisField")
+    checks = count_calls(monkeypatch, construct, "is_orthogonal_array")
+    optimize_d2(DesignFamily(method="c3-case2", s=2, q=2, p=4, u=3), restarts=3, seed=1, swap_steps=4)
+    assert len(fields) == 1
+    assert len(checks) == 3 * 4  # one precondition pass: 3 pool pairs x 4 companion columns
+
+
+def test_shuffled_split_is_drawn_per_seed(monkeypatch):
+    from dcdesign import construct
+    from dcdesign.criteria import optimize_d2
+
+    splits = count_calls(monkeypatch, construct, "split_strength3_inputs")
+    fields = count_calls(monkeypatch, construct, "GaloisField")
+    family = DesignFamily(method="c3-case1", s=5, q=2, p=3, shuffle_split=True)
+    best, _ = optimize_d2(family, restarts=3, seed=2, swap_steps=2)
+    assert len(fields) == 1
+    assert len(splits) == 3 * 3  # each restart's plan and both of its swap candidates
+    assert check_projections(best).passed

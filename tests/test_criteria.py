@@ -167,14 +167,6 @@ def test_swap_climbing_never_worsens():
     assert check_projections(climbed).passed
 
 
-def test_parallel_restarts_match_serial():
-    family = DesignFamily(method="c1", s=2, q=2, p=2, lam=2)
-    serial, t1 = optimize_d2(family, criterion="cl2", restarts=8, seed=2)
-    parallel, t2 = optimize_d2(family, criterion="cl2", restarts=8, seed=2, parallel=True)
-    assert np.array_equal(serial.d2, parallel.d2)
-    assert t1 == t2
-
-
 def test_score_wrapper():
     s = score(ref.D2_8RUN, "maximin")
     assert s.sense == "maximize" and s.value > 0
