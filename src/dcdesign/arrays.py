@@ -1,5 +1,6 @@
 """Core matrix operations: orthogonal-array and Latin-hypercube predicates,
-level collapse and expansion, and grid stratification counting.
+the balance-counting kernel behind every coupling check, level collapse and
+expansion, and grid stratification counting.
 
 All structural checks use exact integer arithmetic; no tolerances exist here.
 Levels are always 0-indexed.
@@ -72,6 +73,31 @@ def is_orthogonal_array(matrix, levels, strength: int) -> bool:
     return True
 
 
+def balanced_columns(key, n_keys: int, y, n_levels: int) -> np.ndarray:
+    """For every column of `y` at once: True iff each (key, value) cell,
+    key in 0..n_keys-1 and value in 0..n_levels-1, holds n/(n_keys*n_levels)
+    rows (never when that is not an integer).  One bincount counts row r of
+    column k in cell k*n_keys*n_levels + key[r]*n_levels + y[r, k]; entries
+    outside their range raise LevelOutOfRange rather than alias.
+    """
+    key = np.asarray(key)
+    y = np.asarray(y)
+    n, p = y.shape
+    if key.shape != (n,) or n_keys < 1 or n_levels < 1:
+        raise ValueError(f"need one key per row and positive counts, got {key.shape}, {n_keys}, {n_levels}")
+    if n and (key.min() < 0 or key.max() >= n_keys):
+        raise LevelOutOfRange(f"key entries outside 0..{n_keys - 1}")
+    if y.size and (y.min() < 0 or y.max() >= n_levels):
+        raise LevelOutOfRange(f"column entries outside 0..{n_levels - 1}")
+    cells = n_keys * n_levels
+    if n % cells:
+        return np.zeros(p, dtype=bool)
+    flat = y + cells * np.arange(p)
+    flat += (key * n_levels)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=cells * p).reshape(p, cells)
+    return (counts == n // cells).all(axis=1)
+
+
 def is_latin_hypercube(matrix) -> bool:
     """True iff every column is a permutation of 0..n-1."""
     m = as_matrix(matrix)
@@ -92,10 +118,11 @@ def level_expand(matrix, rng) -> np.ndarray:
     """Randomized inverse of level_collapse, one column at a time.
 
     Each column must have some number L of levels, every level occurring
-    exactly n/L times; the positions of level i receive a random permutation
-    of i*(n/L)..(i+1)*(n/L)-1.  The block size n/L is inferred per column, so
-    columns with different level counts are fine.  Collapsing the result by
-    n/L restores the input.
+    exactly n/L times; the positions of level i, in row order, receive a
+    random permutation of i*(n/L)..(i+1)*(n/L)-1.  The block size n/L is
+    inferred per column, so columns with different level counts are fine.
+    Collapsing the result by n/L restores the input.  One permuted call per
+    column draws as L sequential permutation(n/L) calls would.
     """
     gen = as_generator(rng)
     m = as_matrix(matrix)
@@ -109,9 +136,8 @@ def level_expand(matrix, rng) -> np.ndarray:
         block = n // n_levels
         if not np.all(np.bincount(col, minlength=n_levels) == block):
             raise UnbalancedColumn(f"column {j}: levels do not occur {block} times each")
-        for lev in range(n_levels):
-            pos = np.flatnonzero(col == lev)
-            out[pos, j] = lev * block + gen.permutation(block)
+        perms = gen.permuted(np.tile(np.arange(block), (n_levels, 1)), axis=1)
+        out[np.argsort(col, kind="stable"), j] = (perms + block * np.arange(n_levels)[:, None]).ravel()
     return out
 
 
@@ -189,11 +215,7 @@ def grid_stratification(x, y, lx: int, ly: int, gx: int, gy: int) -> bool:
         raise ValueError("x and y must be 1-D of equal length")
     if cx.size and (cx.min() < 0 or cx.max() >= lx or cy.min() < 0 or cy.max() >= ly):
         raise LevelOutOfRange("column entries outside declared level range")
-    n = cx.size
-    if n % (gx * gy):
-        return False
-    keys = (cx // (lx // gx)) * gy + cy // (ly // gy)
-    return bool(np.all(np.bincount(keys, minlength=gx * gy) == n // (gx * gy)))
+    return bool(balanced_columns(cx // (lx // gx), gx, (cy // (ly // gy))[:, None], gy)[0])
 
 
 @dataclass(frozen=True)

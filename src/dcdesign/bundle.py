@@ -4,7 +4,8 @@ A bundle stores the design matrices as exact integer row arrays (no floats),
 the certificate arrays when present, the verification summary it was saved
 with, and enough metadata to regenerate it: method, parameters, seed, a
 digest of the permutation plan, and the tool version.  Loading re-verifies;
-a bundle whose stored summary disagrees with re-verification is rejected.
+a bundle whose stored summary disagrees with re-verification, or whose stored
+witness is not the certificate of its d2, is rejected.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
         raise ParseError(f"malformed bundle: {exc}") from exc
     if d1.shape[0] != d2.shape[0]:
         raise ParseError("bundle matrices have inconsistent shapes")
+    if d1.shape[1] < 1 or s > d1.shape[0]:
+        raise ParseError(f"d1 must have a column and at least s={s} rows")
     report = data.get("report", {})
     if not isinstance(report, dict) or not (report.get("omega") is None or type(report["omega"]) is int):
         raise ParseError("bundle report must be an object with an integer or null omega")
@@ -115,7 +118,9 @@ def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
 
 def report_disagreement(data: dict, design: CoupledDesign, report: VerificationReport | None = None) -> str | None:
     """The first summary key on which the bundle's stored report disagrees
-    with re-verification at the stored omega (2 when none is stored), or
+    with re-verification at the stored omega (2 when none is stored), then
+    "witness" unless a stored (b, c) are the quotient and remainder of
+    collapse(d2, s) by s (so collapse(d2, s) = s*b + c with 0 <= c < s), or
     None.  `report` is reused when it was checked at that omega."""
     stored = data.get("report", {})
     omega = 2 if stored.get("omega") is None else stored["omega"]
@@ -125,6 +130,10 @@ def report_disagreement(data: dict, design: CoupledDesign, report: VerificationR
     for key in ("passed", "condition_a", "condition_b", "d2_is_lh"):
         if stored.get(key) is not None and stored[key] != fresh[key]:
             return key
+    if design.witness is not None:
+        b, c = np.divmod(design.d2 // design.s, design.s)
+        if not (np.array_equal(design.witness.b, b) and np.array_equal(design.witness.c, c)):
+            return "witness"
     return None
 
 
@@ -139,5 +148,5 @@ def load_bundle(path, verify: bool = True) -> tuple[CoupledDesign, dict]:
     if verify:
         key = report_disagreement(data, design)
         if key is not None:
-            raise ParseError(f"{path}: stored report disagrees with re-verification on {key!r}")
+            raise ParseError(f"{path}: stored {key!r} disagrees with re-verification")
     return design, data

@@ -49,18 +49,12 @@ def _family_from_args(args) -> DesignFamily:
     s = args.s
     q = args.q
     arrays = None
-    g = a = b = None
     if args.oa:
         loaded = [load_oa(path) for path in args.oa]
         if args.method == "c1" and len(loaded) == 1 and args.lam > 1:
             loaded = loaded * args.lam
         arrays = loaded
-    if args.g:
-        g = load_oa(args.g)
-    if args.a:
-        a = load_oa(args.a)
-    if args.b:
-        b = load_oa(args.b)
+    g, a, b = (load_oa(path) if path else None for path in (args.g, args.a, args.b))
     if q is None:
         q = a.n_cols - 1 if (args.method == "c3-custom" and a is not None) else s
     lam = args.lam
@@ -184,7 +178,7 @@ def cmd_verify(args) -> int:
     if data is not None:
         key = report_disagreement(data, design, report)
         if key is not None:
-            print(f"stored report disagrees with re-verification on {key!r}")
+            print(f"stored {key!r} disagrees with re-verification")
             ok = False
     return 0 if ok else 1
 

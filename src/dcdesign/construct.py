@@ -30,6 +30,7 @@ and ``optimize_d2`` resolve a family's inputs once per call through
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Callable
@@ -37,12 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import OrthogonalArray, is_orthogonal_array, level_expand, make_oa
+from .arrays import OrthogonalArray, balanced_columns, is_orthogonal_array, level_expand, make_oa
 from .design import CoupledDesign, DesignWitness, PermutationPlan
 from .errors import (
     CellNotPermutation,
     DimensionMismatch,
     InfeasibleParameters,
+    LevelOutOfRange,
     NotBlockForm,
     NotStrength3,
     PreconditionFailed,
@@ -93,11 +95,9 @@ def _finish(d1, b, c, s, plan) -> CoupledDesign:
 
 def _permutations(rng, shape: tuple, size: int) -> np.ndarray:
     """Array of shape (*shape, size) filled in row-major order with one
-    rng.permutation(size) per vector along the last axis."""
-    out = np.empty((*shape, size), dtype=int)
-    for index in np.ndindex(*shape):
-        out[index] = rng.permutation(size)
-    return out
+    rng.permutation(size) per vector along the last axis (one permuted call
+    draws them alike)."""
+    return rng.permuted(np.tile(np.arange(size), (*shape, 1)), axis=-1)
 
 
 def sample_plan_stacked(s: int, lam: int, p: int, seed: int = 0) -> PermutationPlan:
@@ -199,12 +199,12 @@ def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
         raise DimensionMismatch(f"select must name {a.n_cols - 1} distinct pool columns")
     if any(i < 0 or i >= a.n_cols for i in select):
         raise DimensionMismatch("select index out of range")
-    for i in range(a.n_cols):
-        for j in range(i + 1, a.n_cols):
-            for k in range(p):
-                triple = np.column_stack([a.matrix[:, i], a.matrix[:, j], b.matrix[:, k]])
-                if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
-                    raise PreconditionFailed(f"triple (a{i}, a{j}, b{k}) is not fully balanced")
+    if p and (a.matrix.min() < 0 or a.matrix.max() >= s):
+        raise LevelOutOfRange(f"pool entries outside 0..{s - 1}")
+    for i, j in itertools.combinations(range(a.n_cols), 2):
+        ok = balanced_columns(a.matrix[:, i] * s + a.matrix[:, j], s * s, b.matrix, n // s**2)
+        if not ok.all():
+            raise PreconditionFailed(f"triple (a{i}, a{j}, b{int(np.argmin(ok))}) is not fully balanced")
     return a, b, select
 
 

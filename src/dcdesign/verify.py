@@ -1,6 +1,8 @@
 """Executable checks for doubly coupled designs.
 
-Three independent routes decide the same property and must agree:
+Three routes decide the same property through distinct conditions and must
+agree.  Each condition asks one counting kernel, ``arrays.balanced_columns``,
+whether a qualitative key balances against all p collapsed columns at once:
 
 - ``check_coupling`` slices rows per level combination and, for coupling
   order omega, demands that every slice's collapsed quantitative values form
@@ -13,7 +15,8 @@ Three independent routes decide the same property and must agree:
   collapsed design and tests its triple conditions.
 
 Reports list every offending index tuple, not just the first, so externally
-loaded designs get usable diagnostics.
+loaded designs get usable diagnostics.  The per-column loops the kernel
+replaced stay in the test suite as oracles that the routes must match.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import grid_stratification, is_croa, is_latin_hypercube, is_orthogonal_array
+from .arrays import balanced_columns, is_croa, is_latin_hypercube, is_orthogonal_array
 from .design import CoupledDesign
-from .errors import NonDivisibleGrid, OmegaExceedsQ, RunSizeNotDivisible
+from .errors import OmegaExceedsQ, RunSizeNotDivisible
 
 
 @dataclass
@@ -67,20 +70,17 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        checked = (
-            self.d1_is_oa,
-            self.d2_is_lh,
-            self.condition_a,
-            self.condition_b,
-            self.witness_check,
-        )
-        if any(c is False for c in checked):
-            return False
-        return not self.higher_order_failures
+        checked = (self.d1_is_oa, self.d2_is_lh, self.condition_a, self.condition_b, self.witness_check)
+        return all(c is not False for c in checked) and not self.higher_order_failures
 
 
 def _d1_is_oa(design: CoupledDesign) -> bool:
     return is_orthogonal_array(design.d1, design.s, min(2, design.q))
+
+
+def _failing(ok: np.ndarray, prefix: tuple) -> list:
+    """(*prefix, k) for every column k whose balance check failed."""
+    return [(*prefix, k) for k in np.flatnonzero(~ok).tolist()]
 
 
 def check_coupling(design: CoupledDesign, omega: int = 2) -> VerificationReport:
@@ -101,22 +101,19 @@ def check_coupling(design: CoupledDesign, omega: int = 2) -> VerificationReport:
     if omega == 0:
         return report
     report.d1_is_oa = _d1_is_oa(design)
+    failures = {1: report.condition_a_failures, 2: report.condition_b_failures}
+    failures.update({level: report.higher_order_failures for level in range(3, omega + 1)})
     for level in range(1, omega + 1):
         runs = n // s**level
         collapsed = design.d2 // s**level
-        expected = np.arange(runs)
+        # each slice is a permutation of 0..runs-1 iff every (slice, value)
+        # cell holds one row; values past runs-1 fail their column outright
+        in_range = (collapsed < runs).all(axis=0)
+        clipped = np.minimum(collapsed, runs - 1)
         for cols in itertools.combinations(range(q), level):
             keys = np.ravel_multi_index(tuple(design.d1[:, c] for c in cols), (s,) * level)
-            groups = [np.flatnonzero(keys == g) for g in range(s**level)]
-            for k in range(p):
-                ok = all(np.array_equal(np.sort(collapsed[rows, k]), expected) for rows in groups)
-                if not ok:
-                    if level == 1:
-                        report.condition_a_failures.append((cols[0], k))
-                    elif level == 2:
-                        report.condition_b_failures.append((cols[0], cols[1], k))
-                    else:
-                        report.higher_order_failures.append((cols, k))
+            ok = in_range & balanced_columns(keys, s**level, clipped, runs)
+            failures[level] += _failing(ok, cols if level <= 2 else (cols,))
     report.condition_a = not report.condition_a_failures
     if omega >= 2:
         report.condition_b = not report.condition_b_failures
@@ -128,6 +125,25 @@ def check_mcd(design: CoupledDesign) -> VerificationReport:
     return check_coupling(design, omega=1)
 
 
+def _order2_report(design: CoupledDesign, a_values, a_levels: int, b_values) -> VerificationReport:
+    """Condition (a): each z_i balances against every column of `a_values`
+    (a_levels values each); condition (b): each (z_i, z_j) balances against
+    every column of `b_values` (n/s^2 values each)."""
+    n, s, q = design.n, design.s, design.q
+    report = VerificationReport(n=n, s=s, q=q, p=design.p, omega_checked=2)
+    report.d1_is_oa = _d1_is_oa(design)
+    report.d2_is_lh = is_latin_hypercube(design.d2)
+    z = design.d1
+    for i in range(q):
+        report.condition_a_failures += _failing(balanced_columns(z[:, i], s, a_values, a_levels), (i,))
+    for i, j in itertools.combinations(range(q), 2):
+        ok = balanced_columns(z[:, i] * s + z[:, j], s * s, b_values, n // s**2)
+        report.condition_b_failures += _failing(ok, (i, j))
+    report.condition_a = not report.condition_a_failures
+    report.condition_b = not report.condition_b_failures
+    return report
+
+
 def check_projections(design: CoupledDesign) -> VerificationReport:
     """Projection-condition check, equivalent to coupling order 2.
 
@@ -136,29 +152,10 @@ def check_projections(design: CoupledDesign) -> VerificationReport:
     Condition (b): each (qualitative, qualitative, twice-collapsed) triple
     hits every combination exactly once.
     """
-    n, s, q, p = design.n, design.s, design.q, design.p
+    n, s = design.n, design.s
     if n % s**2:
         raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^2")
-    report = VerificationReport(n=n, s=s, q=q, p=p, omega_checked=2)
-    report.d1_is_oa = _d1_is_oa(design)
-    report.d2_is_lh = is_latin_hypercube(design.d2)
-    once = design.d2 // s
-    twice = design.d2 // s**2
-    for i in range(q):
-        zi = design.d1[:, i]
-        for k in range(p):
-            pair = np.column_stack([zi, once[:, k]])
-            if not is_orthogonal_array(pair, (s, n // s), 2):
-                report.condition_a_failures.append((i, k))
-    for i, j in itertools.combinations(range(q), 2):
-        cols = (design.d1[:, i], design.d1[:, j])
-        for k in range(p):
-            triple = np.column_stack([*cols, twice[:, k]])
-            if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
-                report.condition_b_failures.append((i, j, k))
-    report.condition_a = not report.condition_a_failures
-    report.condition_b = not report.condition_b_failures
-    return report
+    return _order2_report(design, design.d2 // s, n // s, design.d2 // s**2)
 
 
 def witness_decomposition(design: CoupledDesign):
@@ -170,32 +167,18 @@ def witness_decomposition(design: CoupledDesign):
     strength 3, and likewise every (z_i, c_k, b_k) triple.  The verdict
     coincides with check_projections on any input.
     """
-    n, s, q, p = design.n, design.s, design.q, design.p
+    n, s = design.n, design.s
     if n % s**2:
         raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^2")
     once = design.d2 // s
     b = once // s
     c = once - s * b
-    report = VerificationReport(n=n, s=s, q=q, p=p, omega_checked=2)
-    report.d1_is_oa = _d1_is_oa(design)
-    report.d2_is_lh = is_latin_hypercube(design.d2)
+    g = n // s**2
+    # (z_i, c_k, b_k) triples, with the pair (c_k, b_k) numbered c_k*g + b_k
+    report = _order2_report(design, c * g + b, s * g, b)
     balanced = True
-    if p:
-        balanced = is_orthogonal_array(b, n // s**2, 1) and is_orthogonal_array(c, s, 1)
-    for i in range(q):
-        zi = design.d1[:, i]
-        for k in range(p):
-            triple = np.column_stack([zi, c[:, k], b[:, k]])
-            if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
-                report.condition_a_failures.append((i, k))
-    for i, j in itertools.combinations(range(q), 2):
-        cols = (design.d1[:, i], design.d1[:, j])
-        for k in range(p):
-            triple = np.column_stack([*cols, b[:, k]])
-            if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
-                report.condition_b_failures.append((i, j, k))
-    report.condition_a = not report.condition_a_failures
-    report.condition_b = not report.condition_b_failures
+    if design.p:
+        balanced = is_orthogonal_array(b, g, 1) and is_orthogonal_array(c, s, 1)
     report.witness_check = balanced and report.passed
     return b, c, report
 
@@ -226,8 +209,8 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
     Grids tried per pair (when the divisibility applies): g x g on the
     twice-collapsed columns with g = n/s^2 (only when the certificate array
     b has strength 2), s^2 x s and s x s^2 on the once-collapsed columns,
-    and s x s on the twice-collapsed columns.  Entries are descriptive and
-    do not affect the report's pass verdict.
+    and s x s on the twice-collapsed columns, each with one kernel call per
+    column.  Entries are descriptive and do not affect the pass verdict.
     """
     n, s, p = design.n, design.s, design.p
     report = VerificationReport(n=n, s=s, q=design.q, p=p)
@@ -236,23 +219,25 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
     once = design.d2 // s
     b = design.d2 // s**2
     g = n // s**2
-    b_strength2 = g >= 2 and is_orthogonal_array(b, g, 2)
+
+    def pairs_balanced(x, gx, y, gy):
+        """Per column i < p-1: whether each pair (i, j > i) balances."""
+        return (balanced_columns(x[:, i], gx, y[:, i + 1 :], gy) for i in range(p - 1))
+
+    # the first call (column 0 against the rest) range-checks every column
+    b_strength2 = g >= 2 and all(ok.all() for ok in pairs_balanced(b, g, b, g))
     lv_once = n // s
+    grids = []
+    if b_strength2:
+        grids.append((b, g, g, g))
+    if lv_once % s**2 == 0:
+        grids += [(once, lv_once, s**2, s), (once, lv_once, s, s**2)]
+    if g % s == 0:
+        grids.append((b, g, s, s))
+    results = [list(pairs_balanced(m // (lv // gx), gx, m // (lv // gy), gy)) for m, lv, gx, gy in grids]
     for i, j in itertools.combinations(range(p), 2):
-        checks = []
-        if b_strength2:
-            checks.append((b[:, i], b[:, j], g, g, g, g))
-        if lv_once % s**2 == 0:
-            checks.append((once[:, i], once[:, j], lv_once, lv_once, s**2, s))
-            checks.append((once[:, i], once[:, j], lv_once, lv_once, s, s**2))
-        if g % s == 0:
-            checks.append((b[:, i], b[:, j], g, g, s, s))
-        for x, y, lx, ly, gx, gy in checks:
-            try:
-                ok = grid_stratification(x, y, lx, ly, gx, gy)
-            except NonDivisibleGrid:
-                continue
-            report.stratification.append(StratificationCheck(i, j, gx, gy, ok))
+        for (_, _, gx, gy), ok in zip(grids, results):
+            report.stratification.append(StratificationCheck(i, j, gx, gy, bool(ok[i][j - i - 1])))
     return report
 
 

@@ -1,0 +1,178 @@
+"""Loop-based reference routes, kept as test oracles.
+
+These are the verification routes, the c3 precondition and the level
+expansion as they were written before the counting kernel
+(``arrays.balanced_columns``) replaced their per-column loops: one
+``column_stack`` + ``is_orthogonal_array`` (or one ``grid_stratification``)
+per index tuple, and one ``permutation`` call per level.  The differential
+tests hold the library routes to the reports, exceptions and random streams
+of these.
+"""
+
+import itertools
+
+import numpy as np
+
+from dcdesign.arrays import as_matrix, grid_stratification, is_latin_hypercube, is_orthogonal_array
+from dcdesign.errors import (
+    NonDivisibleGrid,
+    OmegaExceedsQ,
+    PreconditionFailed,
+    RunSizeNotDivisible,
+    UnbalancedColumn,
+)
+from dcdesign.rng import as_generator
+from dcdesign.verify import StratificationCheck, VerificationReport
+
+
+def _d1_is_oa(design):
+    return is_orthogonal_array(design.d1, design.s, min(2, design.q))
+
+
+def check_coupling(design, omega=2):
+    n, s, q, p = design.n, design.s, design.q, design.p
+    if omega > q:
+        raise OmegaExceedsQ(f"omega={omega} exceeds {q} qualitative factors")
+    if omega > 0 and n % s**omega:
+        raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^{omega}")
+    report = VerificationReport(n=n, s=s, q=q, p=p, omega_checked=omega)
+    report.d2_is_lh = is_latin_hypercube(design.d2)
+    if omega == 0:
+        return report
+    report.d1_is_oa = _d1_is_oa(design)
+    for level in range(1, omega + 1):
+        runs = n // s**level
+        collapsed = design.d2 // s**level
+        expected = np.arange(runs)
+        for cols in itertools.combinations(range(q), level):
+            keys = np.ravel_multi_index(tuple(design.d1[:, c] for c in cols), (s,) * level)
+            groups = [np.flatnonzero(keys == g) for g in range(s**level)]
+            for k in range(p):
+                ok = all(np.array_equal(np.sort(collapsed[rows, k]), expected) for rows in groups)
+                if not ok:
+                    if level == 1:
+                        report.condition_a_failures.append((cols[0], k))
+                    elif level == 2:
+                        report.condition_b_failures.append((cols[0], cols[1], k))
+                    else:
+                        report.higher_order_failures.append((cols, k))
+    report.condition_a = not report.condition_a_failures
+    if omega >= 2:
+        report.condition_b = not report.condition_b_failures
+    return report
+
+
+def check_projections(design):
+    n, s, q, p = design.n, design.s, design.q, design.p
+    if n % s**2:
+        raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^2")
+    report = VerificationReport(n=n, s=s, q=q, p=p, omega_checked=2)
+    report.d1_is_oa = _d1_is_oa(design)
+    report.d2_is_lh = is_latin_hypercube(design.d2)
+    once = design.d2 // s
+    twice = design.d2 // s**2
+    for i in range(q):
+        zi = design.d1[:, i]
+        for k in range(p):
+            pair = np.column_stack([zi, once[:, k]])
+            if not is_orthogonal_array(pair, (s, n // s), 2):
+                report.condition_a_failures.append((i, k))
+    for i, j in itertools.combinations(range(q), 2):
+        cols = (design.d1[:, i], design.d1[:, j])
+        for k in range(p):
+            triple = np.column_stack([*cols, twice[:, k]])
+            if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
+                report.condition_b_failures.append((i, j, k))
+    report.condition_a = not report.condition_a_failures
+    report.condition_b = not report.condition_b_failures
+    return report
+
+
+def witness_decomposition(design):
+    n, s, q, p = design.n, design.s, design.q, design.p
+    if n % s**2:
+        raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^2")
+    once = design.d2 // s
+    b = once // s
+    c = once - s * b
+    report = VerificationReport(n=n, s=s, q=q, p=p, omega_checked=2)
+    report.d1_is_oa = _d1_is_oa(design)
+    report.d2_is_lh = is_latin_hypercube(design.d2)
+    balanced = True
+    if p:
+        balanced = is_orthogonal_array(b, n // s**2, 1) and is_orthogonal_array(c, s, 1)
+    for i in range(q):
+        zi = design.d1[:, i]
+        for k in range(p):
+            triple = np.column_stack([zi, c[:, k], b[:, k]])
+            if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
+                report.condition_a_failures.append((i, k))
+    for i, j in itertools.combinations(range(q), 2):
+        cols = (design.d1[:, i], design.d1[:, j])
+        for k in range(p):
+            triple = np.column_stack([*cols, b[:, k]])
+            if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
+                report.condition_b_failures.append((i, j, k))
+    report.condition_a = not report.condition_a_failures
+    report.condition_b = not report.condition_b_failures
+    report.witness_check = balanced and report.passed
+    return b, c, report
+
+
+def stratification_report(design):
+    n, s, p = design.n, design.s, design.p
+    report = VerificationReport(n=n, s=s, q=design.q, p=p)
+    if p < 2 or n % s**2:
+        return report
+    once = design.d2 // s
+    b = design.d2 // s**2
+    g = n // s**2
+    b_strength2 = g >= 2 and is_orthogonal_array(b, g, 2)
+    lv_once = n // s
+    for i, j in itertools.combinations(range(p), 2):
+        checks = []
+        if b_strength2:
+            checks.append((b[:, i], b[:, j], g, g, g, g))
+        if lv_once % s**2 == 0:
+            checks.append((once[:, i], once[:, j], lv_once, lv_once, s**2, s))
+            checks.append((once[:, i], once[:, j], lv_once, lv_once, s, s**2))
+        if g % s == 0:
+            checks.append((b[:, i], b[:, j], g, g, s, s))
+        for x, y, lx, ly, gx, gy in checks:
+            try:
+                ok = grid_stratification(x, y, lx, ly, gx, gy)
+            except NonDivisibleGrid:
+                continue
+            report.stratification.append(StratificationCheck(i, j, gx, gy, ok))
+    return report
+
+
+def selection_precondition(a, b):
+    """The c3 precondition: every (a_i, a_j, b_k) triple over distinct pool
+    columns fully balanced at strength 3."""
+    s, n = a.levels[0], a.n_rows
+    for i in range(a.n_cols):
+        for j in range(i + 1, a.n_cols):
+            for k in range(b.n_cols):
+                triple = np.column_stack([a.matrix[:, i], a.matrix[:, j], b.matrix[:, k]])
+                if not is_orthogonal_array(triple, (s, s, n // s**2), 3):
+                    raise PreconditionFailed(f"triple (a{i}, a{j}, b{k}) is not fully balanced")
+
+
+def level_expand(matrix, rng):
+    gen = as_generator(rng)
+    m = as_matrix(matrix)
+    n = m.shape[0]
+    out = np.empty_like(m)
+    for j in range(m.shape[1]):
+        col = m[:, j]
+        n_levels = int(col.max()) + 1 if n else 0
+        if n_levels == 0 or n % n_levels:
+            raise UnbalancedColumn(f"column {j}: {n} rows cannot split into {n_levels} levels")
+        block = n // n_levels
+        if not np.all(np.bincount(col, minlength=n_levels) == block):
+            raise UnbalancedColumn(f"column {j}: levels do not occur {block} times each")
+        for lev in range(n_levels):
+            pos = np.flatnonzero(col == lev)
+            out[pos, j] = lev * block + gen.permutation(block)
+    return out

@@ -1,0 +1,223 @@
+"""Differential tests: the kernel routes against the loop-based oracles.
+
+Every verification route, the c3 precondition and the level expansion must
+give the oracle's report (same failure tuples in the same order, same
+stratification list), raise the same exception type, or, for the
+expansion, produce the same matrix and leave the generator in the same
+state.  Designs come from every construction method and are mutated by
+swapped d2 entries, changed d1 levels and out-of-range d2 entries.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcdesign import construct, verify
+from dcdesign.arrays import OrthogonalArray, balanced_columns, level_expand
+from dcdesign.construct import DesignFamily, build_design, regular_inputs, split_strength3_inputs
+from dcdesign.design import CoupledDesign
+from dcdesign.errors import LevelOutOfRange
+from dcdesign.gf import GaloisField
+from dcdesign.oabuild import bush_oa
+
+import oracles
+
+FAMILIES = {
+    "c1-s2": dict(method="c1", s=2, q=2, p=3, lam=2),
+    "c1-s3": dict(method="c1", s=3, q=3, p=2, lam=3),
+    "c2-s2": dict(method="c2", s=2, q=2, p=3, lam=3),
+    "c2-s3": dict(method="c2", s=3, q=3, p=3, lam=2),
+    "c3-case1-s3": dict(method="c3-case1", s=3, q=1, p=2),
+    "c3-case1-s4": dict(method="c3-case1", s=4, q=2, p=2),
+    "c3-case2-s2u4": dict(method="c3-case2", s=2, q=2, p=8, u=4),
+    "c3-case2-s3u3": dict(method="c3-case2", s=3, q=3, p=9, u=3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def family_design(name: str, seed: int) -> CoupledDesign:
+    return build_design(DesignFamily(**FAMILIES[name]), seed)
+
+
+@st.composite
+def mutated_designs(draw):
+    base = family_design(draw(st.sampled_from(sorted(FAMILIES))), draw(st.integers(0, 3)))
+    d1, d2 = base.d1.copy(), base.d2.copy()
+    n, s = base.n, base.s
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["swap", "d1", "d2-value"]))
+        r = draw(st.integers(0, n - 1))
+        if kind == "swap" and base.p:
+            k = draw(st.integers(0, base.p - 1))
+            r2 = draw(st.integers(0, n - 1))
+            d2[[r, r2], k] = d2[[r2, r], k]
+        elif kind == "d1":
+            i = draw(st.integers(0, base.q - 1))
+            d1[r, i] = (d1[r, i] + draw(st.integers(1, s - 1))) % s
+        elif kind == "d2-value" and base.p:
+            k = draw(st.integers(0, base.p - 1))
+            d2[r, k] = draw(st.sampled_from([n, n + 9, -1, 10**6]))
+    return CoupledDesign(d1=d1, d2=d2, s=s)
+
+
+def outcome(fn, *args):
+    """A comparable record of a call: its exception type, or its report
+    (repr keeps plain ints apart from numpy scalars) and certificate."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(result, tuple):
+        b, c, report = result
+        return b.tolist(), c.tolist(), repr(report)
+    return repr(result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_designs())
+def test_verification_routes_match_loop_oracles(design):
+    for omega in range(min(design.q, 3) + 1):
+        assert outcome(verify.check_coupling, design, omega) == outcome(oracles.check_coupling, design, omega)
+    assert outcome(verify.check_projections, design) == outcome(oracles.check_projections, design)
+    assert outcome(verify.witness_decomposition, design) == outcome(oracles.witness_decomposition, design)
+    assert outcome(verify.stratification_report, design) == outcome(oracles.stratification_report, design)
+
+
+def test_higher_order_failures_match_oracle():
+    design = family_design("c1-s3", 0)
+    design = CoupledDesign(d1=design.d1, d2=design.d2.copy(), s=3)
+    design.d2[[0, 5], 1] = design.d2[[5, 0], 1]
+    report = verify.check_coupling(design, 3)
+    assert report.higher_order_failures
+    assert repr(report) == repr(oracles.check_coupling(design, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def selection_inputs(kind: str):
+    if kind == "regular-s2u4":
+        return regular_inputs(GaloisField(2), 4)
+    if kind == "regular-s3u3":
+        return regular_inputs(GaloisField(3), 3)
+    return split_strength3_inputs(bush_oa(GaloisField(4), 3), 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["regular-s2u4", "regular-s3u3", "split-s4"]),
+    st.lists(st.tuples(st.sampled_from(["pool", "companion", "swap"]), st.integers(0, 10**6)), max_size=2),
+)
+def test_selection_precondition_matches_loop_oracle(kind, mutations):
+    a, b = selection_inputs(kind)
+    pool, comp = a.matrix.copy(), b.matrix.copy()
+    n, s = a.n_rows, a.levels[0]
+    for what, r in mutations:
+        row, col = r % n, r // n
+        if what == "pool":
+            pool[row, col % pool.shape[1]] = (pool[row, col % pool.shape[1]] + 1) % s
+        elif what == "companion":
+            comp[row, col % comp.shape[1]] = (comp[row, col % comp.shape[1]] + 1) % (n // s**2)
+        else:
+            k = col % comp.shape[1]
+            comp[[row, (row + col) % n], k] = comp[[(row + col) % n, row], k]
+    a = OrthogonalArray(pool, a.levels, 2)
+    b = OrthogonalArray(comp, b.levels, 1)
+    select = tuple(range(1, a.n_cols))
+
+    def record(fn, *args):
+        try:
+            fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert record(construct._selection_inputs, a, b, select) == record(oracles.selection_precondition, a, b)
+
+
+@st.composite
+def balanced_matrices(draw):
+    n = draw(st.integers(1, 48))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    cols = [rng.permutation(np.repeat(np.arange(levels), n // levels)) for levels in draw(st.lists(st.sampled_from(divisors), max_size=5))]
+    return np.column_stack(cols) if cols else np.zeros((n, 0), dtype=int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_matrices(), st.integers(0, 2**32))
+def test_level_expand_matches_per_level_oracle_and_stream(matrix, seed):
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(level_expand(matrix, gen), oracles.level_expand(matrix, ref_gen))
+    assert gen.integers(2**62) == ref_gen.integers(2**62)
+
+
+def test_level_expand_rejects_what_the_oracle_rejects():
+    for bad in (np.array([[0], [0], [1]]), np.array([[0, 0], [1, 2], [2, 2]])):
+        assert outcome(level_expand, bad, 0) == outcome(oracles.level_expand, bad, 0)
+
+
+def test_kernel_counts_every_column_at_once():
+    key = np.array([0, 0, 1, 1])
+    y = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0], [1, 1, 0]])
+    assert balanced_columns(key, 2, y, 2).tolist() == [True, False, False]
+    # 2 x 3 cells do not divide 4 rows, so no column can balance
+    assert balanced_columns(key, 2, y, 3).tolist() == [False] * 3
+
+
+@pytest.mark.parametrize("column", [[0, 2, 0, 1], [0, -1, 1, 1]])
+def test_kernel_range_checks_instead_of_aliasing(column):
+    # a 2 in a 2-level column would alias into the next key's cell
+    with pytest.raises(LevelOutOfRange):
+        balanced_columns(np.array([0, 0, 1, 1]), 2, np.array(column)[:, None], 2)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch):
+    """The coupling routes make one kernel call per qualitative factor
+    subset, however many quantitative columns there are, and full_report
+    makes the same number of orthogonal-array checks at p=9 and p=18.  The
+    pairwise stratification survey makes one kernel call per (grid, column),
+    never one per column pair, and no grid_stratification call."""
+    import dcdesign.arrays
+
+    kernel = count_calls(monkeypatch, verify, "balanced_columns")
+    oa_checks = count_calls(monkeypatch, verify, "is_orthogonal_array")
+    oa_checks_in_arrays = count_calls(monkeypatch, dcdesign.arrays, "is_orthogonal_array")
+    grid = count_calls(monkeypatch, dcdesign.arrays, "grid_stratification")
+    q = 3
+    coupling, survey, report_oa_checks = [], [], []
+    for p in (9, 18):
+        design = build_design(DesignFamily(method="c3-case2", s=3, q=q, p=p, u=4), seed=0)
+        for calls in (kernel, oa_checks, oa_checks_in_arrays):
+            calls.clear()
+        verify.check_coupling(design, 2)
+        verify.witness_decomposition(design)
+        coupling.append(len(kernel))
+        kernel.clear()
+        verify.stratification_report(design)
+        survey.append(len(kernel))
+        kernel.clear()
+        oa_checks.clear()
+        oa_checks_in_arrays.clear()
+        assert verify.full_report(design, omega=2).passed
+        assert len(kernel) == coupling[-1] + survey[-1]
+        report_oa_checks.append(len(oa_checks) + len(oa_checks_in_arrays))
+    assert coupling == [2 * (q + q * (q - 1) // 2)] * 2
+    assert report_oa_checks[0] == report_oa_checks[1]
+    # n=81: the first pair pass over b (b is not of strength 2), then the
+    # s^2 x s, s x s^2 and s x s grids, one call per column each
+    assert survey == [1 + 3 * (p - 1) for p in (9, 18)]
+    assert not grid
