@@ -17,7 +17,7 @@ import sys
 from .arrays import make_oa, to_continuous
 from .bundle import design_to_bundle, load_bundle, report_disagreement, save_bundle
 from .construct import METHODS, DesignFamily, build_design
-from .criteria import CRITERIA, optimize_d2, score
+from .criteria import CRITERIA, best_index, optimize_d2
 from .design import CoupledDesign
 from .errors import DesignError, InfeasibleParameters, ParseError
 from .oabuild import load_matrix, load_oa, save_oa
@@ -143,8 +143,9 @@ def cmd_optimize(args) -> int:
         swap_steps=args.swap_steps,
     )
     report = full_report(design, omega=min(2, design.q))
-    best = score(design.d2, args.criterion)
-    print(f"criterion {best.name} ({best.sense}): best {best.value:.6f} over {args.restarts} restarts")
+    sense = CRITERIA[args.criterion]
+    best = trajectory[best_index(trajectory, sense)]
+    print(f"criterion {args.criterion} ({sense}): best {best:.6f} over {args.restarts} restarts")
     _print_report(report)
     extra = {"criterion": args.criterion, "restarts": args.restarts, "trajectory": trajectory}
     bundle = design_to_bundle(design, report, family.method, _parameters(family), args.seed, extra=extra)

@@ -5,6 +5,24 @@ designs of different run sizes compare on the same [0,1) scale.  The
 centered L2 discrepancy is returned squared, as produced by its closed-form
 double sum.  Ties within 1e-12 are broken toward the earlier candidate, so a
 fixed seed reproduces results bit for bit.
+
+Both criteria run over row blocks of at most ``BLOCK_ENTRIES`` scratch
+floats, never over an (n, n, p) tensor, and return the same float, bit for
+bit, as the direct tensor formulas (kept as test oracles) on C-ordered
+``d2``, the layout the library builds and loads:
+
+- maximin takes, per row block, the squared distances to later rows only,
+  summing each pair's p squares as ``sum(axis=-1)`` does over a C-ordered
+  tensor, and one square root of the minimum at the end (``sqrt`` is
+  correctly rounded and monotone, so the root of the minimum is the
+  minimum of the roots).  Memory: O(n·block), at least one row's n×p
+  differences.  (The tensor formula's rounding depended on the memory
+  layout of ``d2`` for p >= 8; this kernel's does not.)
+- CL2 fills its n×n matrix of pair products one row block and one column at
+  a time, multiplying the columns in order as ``np.prod`` does.  Memory:
+  O(n²), held by that matrix.  The matrix is summed in one call over all of
+  it, because numpy's pairwise summation rounds differently over per-block
+  partial sums, and the bundles pin the search trajectories' bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +36,9 @@ from .design import CoupledDesign
 from .rng import as_generator, derive_seed
 
 TIE_TOLERANCE = 1e-12
+
+# scratch floats per row block of a criterion kernel (512 KiB of float64)
+BLOCK_ENTRIES = 1 << 16
 
 CRITERIA = {
     "maximin": "maximize",
@@ -41,12 +62,23 @@ def maximin_distance(d2) -> float:
     """Smallest pairwise Euclidean distance between midpoint-scaled rows;
     larger is better."""
     x = _midpoints(d2)
-    n = x.shape[0]
+    n, m = x.shape
     if n < 2:
         raise ValueError("need at least two rows")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return float(dist[np.triu_indices(n, k=1)].min())
+    rows = max(1, BLOCK_ENTRIES // (n * max(m, 1)))
+    diff = np.empty((min(rows, n - 1), n - 1, m))
+    sq = np.empty(diff.shape[:2])
+    col = np.arange(n - 1)
+    best = np.inf
+    for i in range(0, n - 1, rows):
+        k, w = min(rows, n - 1 - i), n - 1 - i
+        d, s = diff[:k, :w], sq[:k, :w]
+        np.subtract(x[i : i + k, None, :], x[i + 1 :], out=d)
+        np.square(d, out=d)
+        np.sum(d, axis=2, out=s)
+        # block row r is row i + r; column c is row i + 1 + c, later iff c >= r
+        best = min(best, s.min(where=col[:w] >= col[:k, None], initial=np.inf))
+    return float(np.sqrt(best))
 
 
 def centered_l2_discrepancy(d2) -> float:
@@ -57,8 +89,24 @@ def centered_l2_discrepancy(d2) -> float:
     dev = np.abs(x - 0.5)
     term1 = (13.0 / 12.0) ** m
     term2 = np.prod(1.0 + 0.5 * dev - 0.5 * dev**2, axis=1).sum() * (2.0 / n)
-    cross = np.abs(x[:, None, :] - x[None, :, :])
-    prod = np.prod(1.0 + 0.5 * dev[:, None, :] + 0.5 * dev[None, :, :] - 0.5 * cross, axis=2)
+    # pair (i, j), column t: ((1 + 0.5 dev_i) + 0.5 dev_j) - 0.5 |x_i - x_j|;
+    # halving is exact, so |0.5 x_i - 0.5 x_j| is that last term
+    half = np.ascontiguousarray((0.5 * dev).T)
+    lead = 1.0 + half
+    hx = np.ascontiguousarray((0.5 * x).T)
+    rows = max(1, BLOCK_ENTRIES // n)
+    prod = np.ones((n, n))
+    entry = np.empty((min(rows, n), n))
+    cross = np.empty_like(entry)
+    for i in range(0, n, rows):
+        k = min(rows, n - i)
+        e, c, out = entry[:k], cross[:k], prod[i : i + k]
+        for t in range(m):
+            np.add(lead[t, i : i + k, None], half[t], out=e)
+            np.subtract(hx[t, i : i + k, None], hx[t], out=c)
+            np.abs(c, out=c)
+            e -= c
+            out *= e
     term3 = prod.sum() / n**2
     return float(term1 - term2 + term3)
 
@@ -74,6 +122,17 @@ def _improves(candidate: float, incumbent: float, sense: str) -> bool:
     if sense == "maximize":
         return candidate > incumbent + TIE_TOLERANCE
     return candidate < incumbent - TIE_TOLERANCE
+
+
+def best_index(trajectory, sense: str) -> int:
+    """Index of the best score in `trajectory`: a later score wins only if
+    it improves on the incumbent by more than TIE_TOLERANCE, so ties go to
+    the earlier entry."""
+    best = 0
+    for r in range(1, len(trajectory)):
+        if _improves(trajectory[r], trajectory[best], sense):
+            best = r
+    return best
 
 
 def _plan_cells(plan):
@@ -135,9 +194,4 @@ def optimize_d2(
         plan = sample_family_plan(family, child)
         results.append(_swap_climb(family, inputs, plan, criterion, swap_steps, as_generator(derive_seed(child, 3))))
     trajectory = [best.value for _, best in results]
-    sense = CRITERIA[criterion]
-    best_index = 0
-    for r in range(1, restarts):
-        if _improves(trajectory[r], trajectory[best_index], sense):
-            best_index = r
-    return results[best_index][0], trajectory
+    return results[best_index(trajectory, CRITERIA[criterion])][0], trajectory

@@ -1,12 +1,13 @@
-"""Loop-based reference routes, kept as test oracles.
+"""Loop-based and tensor reference routes, kept as test oracles.
 
 These are the verification routes, the c3 precondition and the level
 expansion as they were written before the counting kernel
 (``arrays.balanced_columns``) replaced their per-column loops: one
 ``column_stack`` + ``is_orthogonal_array`` (or one ``grid_stratification``)
-per index tuple, and one ``permutation`` call per level.  The differential
-tests hold the library routes to the reports, exceptions and random streams
-of these.
+per index tuple, and one ``permutation`` call per level.  The two space-
+filling criteria are kept as they were before row blocking: one (n, n, p)
+tensor each.  The differential tests hold the library routes to the
+reports, exceptions, random streams and criterion floats of these.
 """
 
 import itertools
@@ -176,3 +177,30 @@ def level_expand(matrix, rng):
             pos = np.flatnonzero(col == lev)
             out[pos, j] = lev * block + gen.permutation(block)
     return out
+
+
+def _midpoints(d2):
+    m = np.asarray(d2, dtype=float)
+    return (m + 0.5) / m.shape[0]
+
+
+def maximin_distance(d2):
+    x = _midpoints(d2)
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("need at least two rows")
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    return float(dist[np.triu_indices(n, k=1)].min())
+
+
+def centered_l2_discrepancy(d2):
+    x = _midpoints(d2)
+    n, m = x.shape
+    dev = np.abs(x - 0.5)
+    term1 = (13.0 / 12.0) ** m
+    term2 = np.prod(1.0 + 0.5 * dev - 0.5 * dev**2, axis=1).sum() * (2.0 / n)
+    cross = np.abs(x[:, None, :] - x[None, :, :])
+    prod = np.prod(1.0 + 0.5 * dev[:, None, :] + 0.5 * dev[None, :, :] - 0.5 * cross, axis=2)
+    term3 = prod.sum() / n**2
+    return float(term1 - term2 + term3)

@@ -6,6 +6,7 @@ import pytest
 from dcdesign.bundle import load_bundle
 from dcdesign.cli import main
 from dcdesign.construct import DesignFamily, build_design
+from dcdesign.criteria import score
 from dcdesign.oabuild import load_oa, save_oa
 from dcdesign.rng import derive_seed
 
@@ -103,6 +104,15 @@ def test_optimize_trajectory_recorded(tmp_path):
     trajectory = data["metadata"]["trajectory"]
     assert len(trajectory) == 20
     assert max(trajectory) >= float(np.median(trajectory))
+
+
+def test_optimize_prints_the_saved_winners_score(tmp_path, capsys):
+    out = tmp_path / "opt.json"
+    args = ["--method", "c2", "--s", "2", "--lambda", "2", "--q", "2", "--p", "3"]
+    assert main(["optimize", *args, "--criterion", "cl2", "--restarts", "4", "--seed", "2", "-o", str(out)]) == 0
+    design, _ = load_bundle(out)
+    best = score(design.d2, "cl2").value
+    assert f"criterion cl2 (minimize): best {best:.6f} over 4 restarts" in capsys.readouterr().out
 
 
 def test_export_csv_shape(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dcdesign.construct import DesignFamily, build_design
 from dcdesign.criteria import (
+    best_index,
     centered_l2_discrepancy,
     maximin_distance,
     optimize_d2,
@@ -15,6 +17,7 @@ from dcdesign.criteria import (
 from dcdesign.rng import derive_seed
 from dcdesign.verify import check_projections
 
+import oracles
 import refdesigns as ref
 
 
@@ -59,6 +62,36 @@ def test_reference_design_matches_pairwise_scan():
 
 def test_duplicate_rows_give_zero_distance():
     assert maximin_distance(np.array([[0, 1], [0, 1], [1, 0]])) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_maximin_needs_two_rows(rows):
+    with pytest.raises(ValueError):
+        maximin_distance(np.zeros((rows, 3), dtype=int))
+
+
+@pytest.mark.parametrize(
+    "d2",
+    [np.zeros((1, 3), dtype=int), build_design(DesignFamily(method="c3-case1", s=3, q=2, p=0), 0).d2],
+    ids=["one-row", "c3-case1-p0"],
+)
+def test_discrepancy_edge_designs_equal_tensor_oracle(d2):
+    assert centered_l2_discrepancy(d2) == oracles.centered_l2_discrepancy(d2)
+
+
+@pytest.mark.parametrize("criterion", [maximin_distance, centered_l2_discrepancy])
+def test_criteria_memory_stays_bounded(criterion):
+    """At n=1024, p=64 one (n, n, p) float tensor is 512 MB; CL2 holds one
+    n x n matrix (8 MB) and both hold row-block scratch."""
+    rng = np.random.default_rng(0)
+    lh = np.column_stack([rng.permutation(1024) for _ in range(64)])
+    tracemalloc.start()
+    try:
+        criterion(lh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_discrepancy_single_point_closed_form():
@@ -172,3 +205,9 @@ def test_score_wrapper():
     assert s.sense == "maximize" and s.value > 0
     with pytest.raises(ValueError):
         score(ref.D2_8RUN, "nope")
+
+
+def test_best_index_breaks_ties_toward_the_earlier_entry():
+    assert best_index([1.0, 1.0 + 1e-13, 2.0, 2.0 + 1e-13, 1.5], "maximize") == 2
+    assert best_index([2.0, 1.0, 1.0 - 1e-13, 3.0], "minimize") == 1
+    assert best_index([5.0], "minimize") == 0

@@ -5,7 +5,9 @@ give the oracle's report (same failure tuples in the same order, same
 stratification list), raise the same exception type, or, for the
 expansion, produce the same matrix and leave the generator in the same
 state.  Designs come from every construction method and are mutated by
-swapped d2 entries, changed d1 levels and out-of-range d2 entries.
+swapped d2 entries, changed d1 levels and out-of-range d2 entries.  The
+row-blocked criteria must return the tensor oracles' floats exactly, since
+bundles pin search trajectories byte for byte.
 """
 
 import functools
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcdesign import construct, verify
+from dcdesign import construct, criteria, verify
 from dcdesign.arrays import OrthogonalArray, balanced_columns, level_expand
 from dcdesign.construct import DesignFamily, build_design, regular_inputs, split_strength3_inputs
 from dcdesign.design import CoupledDesign
@@ -221,3 +223,47 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
     # s^2 x s, s x s^2 and s x s grids, one call per column each
     assert survey == [1 + 3 * (p - 1) for p in (9, 18)]
     assert not grid
+
+
+@st.composite
+def latin_hypercubes_and_row_blocks(draw):
+    """A random n x p Latin hypercube, C-ordered like every library d2, and
+    block budgets giving one row per block, a row count dividing neither n
+    (CL2 runs over n rows) nor n - 1 (maximin over n - 1), and one block
+    (more than n^2 p entries)."""
+    n, p = draw(st.integers(2, 70)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lh = np.array([rng.permutation(n) for _ in range(p)], dtype=int).reshape(p, n).T.copy()
+    rows = draw(st.integers(2, n + 1).filter(lambda r: n % r and (n - 1) % r))
+    cl2_blocks = (1, rows * n, n * n * max(p, 1) + 1)
+    maximin_blocks = (1, rows * n * max(p, 1), n * n * max(p, 1) + 1)
+    return lh, cl2_blocks, maximin_blocks
+
+
+@settings(max_examples=120, deadline=None)
+@given(latin_hypercubes_and_row_blocks())
+def test_blocked_criteria_equal_tensor_oracles_exactly(case):
+    lh, cl2_blocks, maximin_blocks = case
+    cl2, maximin = oracles.centered_l2_discrepancy(lh), oracles.maximin_distance(lh)
+    with pytest.MonkeyPatch.context() as mp:
+        for block in cl2_blocks:
+            mp.setattr(criteria, "BLOCK_ENTRIES", block)
+            assert criteria.centered_l2_discrepancy(lh) == cl2
+        for block in maximin_blocks:
+            mp.setattr(criteria, "BLOCK_ENTRIES", block)
+            assert criteria.maximin_distance(lh) == maximin
+    # the blocked kernels lay out their own scratch, so the input's memory
+    # order cannot change the rounding (the maximin oracle's can, for p >= 8)
+    assert criteria.centered_l2_discrepancy(np.asfortranarray(lh)) == cl2
+    assert criteria.maximin_distance(np.asfortranarray(lh)) == maximin
+
+
+@pytest.mark.parametrize("n, p", [(40, 200), (125, 5), (200, 50)])
+def test_blocked_criteria_equal_tensor_oracles_at_default_block(n, p):
+    """Wide rows (p above numpy's 8-way and 128-entry pairwise-sum steps),
+    search-swap's n=125, p=5 and several rows per block, with the module's
+    block budget."""
+    rng = np.random.default_rng(n * p)
+    lh = np.column_stack([rng.permutation(n) for _ in range(p)])
+    assert criteria.centered_l2_discrepancy(lh) == oracles.centered_l2_discrepancy(lh)
+    assert criteria.maximin_distance(lh) == oracles.maximin_distance(lh)
