@@ -9,6 +9,7 @@ Levels are always 0-indexed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ def is_orthogonal_array(matrix, levels, strength: int) -> bool:
         raise ValueError(f"strength must be in 1..{n_cols}, got {strength}")
     for cols in itertools.combinations(range(n_cols), strength):
         dims = tuple(lv[c] for c in cols)
-        cells = int(np.prod(dims))
+        cells = math.prod(dims)
         if n % cells:
             return False
         keys = np.ravel_multi_index(tuple(m[:, c] for c in cols), dims)

@@ -11,6 +11,7 @@ witness is not the certificate of its d2, is rejected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -79,17 +80,62 @@ def design_to_bundle(
     return bundle
 
 
+def _indented(value, pad: str, out: list) -> None:
+    """Append `value` as `json.dumps(value, indent=2, sort_keys=True)` lays
+    it out at indentation `pad`.  A list of plain ints is one join (`type(x)
+    is int`, so True still reads true); keys and every other scalar or empty
+    container go through `json.dumps`, which keeps its escaping, NaN and
+    Infinity, and its TypeError on non-JSON types."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        out.append(json.dumps(value))
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        out.append("{\n" + inner)
+        for index, (key, item) in enumerate(sorted(value.items())):
+            # the encoder's key coercion: non-str keys read as their JSON text, quoted
+            out.append(("" if index == 0 else sep) + json.dumps({key: None})[1:-7] + ": ")
+            _indented(item, inner, out)
+        out.append("\n" + pad + "}")
+    elif set(map(type, value)) == {int}:
+        out.append("[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + pad + "]")
+    else:
+        out.append("[\n" + inner)
+        for index, item in enumerate(value):
+            if index:
+                out.append(sep)
+            _indented(item, inner, out)
+        out.append("\n" + pad + "]")
+
+
 def save_bundle(bundle: dict, path) -> None:
-    Path(path).write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    """Write `json.dumps(bundle, indent=2, sort_keys=True)` and a newline,
+    byte for byte, without the standard library's pure-Python indenting
+    encoder."""
+    out: list[str] = []
+    _indented(bundle, "", out)
+    out.append("\n")
+    Path(path).write_text("".join(out))
 
 
 def _int_matrix(rows, name: str) -> np.ndarray:
-    """An exact integer matrix; floats, booleans and ragged rows are refused
-    rather than truncated or cast."""
-    m = np.array(rows, dtype=object)
-    if m.ndim != 2 or any(type(v) is not int for v in m.flat):
+    """An exact integer matrix: a non-empty list (or tuple) of equal-length
+    rows of plain ints.  Floats, booleans, ragged or deeper rows and entries
+    beyond int64 are refused rather than truncated or cast; the type scans
+    run at C level."""
+    if (
+        not isinstance(rows, (list, tuple))
+        or not rows
+        or not set(map(type, rows)) <= {list, tuple}
+        or len(set(map(len, rows))) != 1
+        or not set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+    ):
         raise ParseError(f"{name} must be a matrix of integers")
-    return m.astype(int)
+    try:
+        return np.array(rows, dtype=int)
+    except OverflowError as exc:
+        raise ParseError(f"{name} has an entry outside int64: {exc}") from exc
 
 
 def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
@@ -142,7 +188,7 @@ def load_bundle(path, verify: bool = True) -> tuple[CoupledDesign, dict]:
     omega and require agreement with the stored summary."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     design, data = parse_bundle(data)
     if verify:

@@ -109,12 +109,43 @@ def normalize_block_form(a: OrthogonalArray) -> OrthogonalArray:
 
 
 def _parse_levels(token: str, m: int):
-    if "," in token:
-        parts = token.split(",")
-        if len(parts) != m:
-            raise ParseError(f"header lists {len(parts)} level counts for {m} columns")
-        return tuple(int(p) for p in parts)
-    return int(token)
+    parts = token.split(",")
+    if len(parts) > 1 and len(parts) != m:
+        raise ParseError(f"header lists {len(parts)} level counts for {m} columns")
+    levels = tuple(int(p) for p in parts)
+    if min(levels) < 1:
+        raise ParseError(f"level counts must be positive, got {token!r}")
+    return levels if len(parts) > 1 else levels[0]
+
+
+def _data_lines(path) -> list[str]:
+    """The stripped lines of a text file that are neither blank nor '#'
+    comments; a file that does not decode, or has no such line, is a
+    ParseError."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from exc
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    return lines
+
+
+def _int_rows(path, lines: list[str]) -> np.ndarray:
+    """Whitespace-separated integer rows of one width as an int64 matrix;
+    entries that are not integers or do not fit int64 are a ParseError."""
+    try:
+        rows = [[int(v) for v in ln.split()] for ln in lines]
+    except ValueError as exc:
+        raise ParseError(f"{path}: non-integer entry: {exc}") from exc
+    if len({len(r) for r in rows}) != 1:
+        raise ParseError(f"{path}: ragged rows")
+    try:
+        return np.array(rows, dtype=int)
+    except OverflowError as exc:
+        raise ParseError(f"{path}: entry outside int64: {exc}") from exc
 
 
 def load_oa(path) -> OrthogonalArray:
@@ -124,11 +155,7 @@ def load_oa(path) -> OrthogonalArray:
     mixed levels), then n lines of m space-separated integers.  Lines
     starting with '#' are comments.
     """
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
+    lines = _data_lines(path)
     header = lines[0].split()
     if len(header) != 4:
         raise ParseError(f"{path}: header must be 'n m s t', got {lines[0]!r}")
@@ -138,12 +165,9 @@ def load_oa(path) -> OrthogonalArray:
     except ValueError as exc:
         raise ParseError(f"{path}: bad header: {exc}") from exc
     body = lines[1:]
-    if len(body) != n:
-        raise ParseError(f"{path}: expected {n} data rows, found {len(body)}")
-    try:
-        mat = np.array([[int(v) for v in ln.split()] for ln in body], dtype=int)
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-integer entry: {exc}") from exc
+    if n < 1 or len(body) != n:
+        raise ParseError(f"{path}: header declares {n} data rows, found {len(body)}")
+    mat = _int_rows(path, body)
     if mat.shape != (n, m):
         raise ParseError(f"{path}: expected shape {(n, m)}, got {mat.shape}")
     try:
@@ -165,16 +189,4 @@ def save_oa(a: OrthogonalArray, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a plain whitespace-separated integer matrix ('#' comments ok)."""
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    try:
-        rows = [[int(v) for v in ln.split()] for ln in lines]
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-integer entry: {exc}") from exc
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ParseError(f"{path}: ragged rows")
-    return np.array(rows, dtype=int)
+    return _int_rows(path, _data_lines(path))

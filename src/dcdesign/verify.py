@@ -208,15 +208,18 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
 
     Grids tried per pair (when the divisibility applies): g x g on the
     twice-collapsed columns with g = n/s^2 (only when the certificate array
-    b has strength 2), s^2 x s and s x s^2 on the once-collapsed columns,
-    and s x s on the twice-collapsed columns, each with one kernel call per
-    column.  Entries are descriptive and do not affect the pass verdict.
+    b has strength 2, so every pair passes it), s^2 x s and s x s^2 on the
+    once-collapsed columns, and s x s on the twice-collapsed columns.  The
+    last three apply exactly when s^3 divides n.  The two finer grids take
+    one kernel call per column; the s x s grid merges s adjacent cells of
+    either of them, so it holds wherever one of them does, and only the
+    pairs where both fail are counted.  Entries are descriptive and do not
+    affect the pass verdict.
     """
     n, s, p = design.n, design.s, design.p
     report = VerificationReport(n=n, s=s, q=design.q, p=p)
     if p < 2 or n % s**2:
         return report
-    once = design.d2 // s
     b = design.d2 // s**2
     g = n // s**2
 
@@ -226,18 +229,29 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
 
     # the first call (column 0 against the rest) range-checks every column
     b_strength2 = g >= 2 and all(ok.all() for ok in pairs_balanced(b, g, b, g))
-    lv_once = n // s
-    grids = []
+    grids, results = [], []
     if b_strength2:
-        grids.append((b, g, g, g))
-    if lv_once % s**2 == 0:
-        grids += [(once, lv_once, s**2, s), (once, lv_once, s, s**2)]
+        grids.append((g, g))
+        results.append([np.ones(p - 1 - i, dtype=bool) for i in range(p - 1)])
     if g % s == 0:
-        grids.append((b, g, s, s))
-    results = [list(pairs_balanced(m // (lv // gx), gx, m // (lv // gy), gy)) for m, lv, gx, gy in grids]
+        once, lv_once = design.d2 // s, n // s
+        for gx, gy in ((s**2, s), (s, s**2)):
+            grids.append((gx, gy))
+            results.append(list(pairs_balanced(once // (lv_once // gx), gx, once // (lv_once // gy), gy)))
+        coarse = b // (g // s)
+        coarse_ok = []
+        for i, (ok_x, ok_y) in enumerate(zip(results[-2], results[-1])):
+            ok = ok_x | ok_y
+            both_fail = np.flatnonzero(~ok)
+            if both_fail.size:
+                ok[both_fail] = balanced_columns(coarse[:, i], s, coarse[:, i + 1 + both_fail], s)
+            coarse_ok.append(ok)
+        grids.append((s, s))
+        results.append(coarse_ok)
+    by_column = [[ok[i].tolist() for ok in results] for i in range(p - 1)]
     for i, j in itertools.combinations(range(p), 2):
-        for (_, _, gx, gy), ok in zip(grids, results):
-            report.stratification.append(StratificationCheck(i, j, gx, gy, bool(ok[i][j - i - 1])))
+        for (gx, gy), ok in zip(grids, by_column[i]):
+            report.stratification.append(StratificationCheck(i, j, gx, gy, ok[j - i - 1]))
     return report
 
 

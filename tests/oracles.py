@@ -6,11 +6,14 @@ expansion as they were written before the counting kernel
 ``column_stack`` + ``is_orthogonal_array`` (or one ``grid_stratification``)
 per index tuple, and one ``permutation`` call per level.  The two space-
 filling criteria are kept as they were before row blocking: one (n, n, p)
-tensor each.  The differential tests hold the library routes to the
-reports, exceptions, random streams and criterion floats of these.
+tensor each.  The bundle text is the standard library's indenting encoder,
+and the bundle matrix reader the per-entry type check it had before its
+scans moved to C.  The differential tests hold the library routes to the
+reports, exceptions, random streams, criterion floats and bytes of these.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from dcdesign.arrays import as_matrix, grid_stratification, is_latin_hypercube, 
 from dcdesign.errors import (
     NonDivisibleGrid,
     OmegaExceedsQ,
+    ParseError,
     PreconditionFailed,
     RunSizeNotDivisible,
     UnbalancedColumn,
@@ -204,3 +208,15 @@ def centered_l2_discrepancy(d2):
     prod = np.prod(1.0 + 0.5 * dev[:, None, :] + 0.5 * dev[None, :, :] - 0.5 * cross, axis=2)
     term3 = prod.sum() / n**2
     return float(term1 - term2 + term3)
+
+
+def bundle_text(bundle):
+    """The text `bundle.save_bundle` writes."""
+    return json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+
+
+def int_matrix(rows, name):
+    m = np.array(rows, dtype=object)
+    if m.ndim != 2 or any(type(v) is not int for v in m.flat):
+        raise ParseError(f"{name} must be a matrix of integers")
+    return m.astype(int)

@@ -5,13 +5,17 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcdesign.bundle import load_bundle, parse_bundle, report_disagreement
+from dcdesign import bundle as bundle_module
+from dcdesign.bundle import load_bundle, parse_bundle, report_disagreement, save_bundle
 from dcdesign.cli import main
 from dcdesign.errors import DesignError, ParseError
+
+import oracles
 
 
 @pytest.fixture
@@ -189,3 +193,84 @@ def test_verify_exits_with_a_documented_code_on_mutated_bundles(data):
                 pass
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+ODD_INTS = (2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30, -(10**30))
+json_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70), st.sampled_from(ODD_INTS))
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324]),
+    st.floats().map(np.float64),
+)
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_floats, st.text(max_size=4))
+# matrices of ints with bools mixed in, including rows without columns (p=0)
+int_matrices = st.lists(st.lists(st.one_of(json_ints, json_ints, st.booleans()), max_size=4), max_size=4)
+# non-str keys are coerced by the encoder, and keys of mixed types fail to sort
+json_keys = st.one_of(st.text(max_size=4), st.text(max_size=4), st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+json_values = st.recursive(
+    st.one_of(json_scalars, int_matrices, st.just([[], []])),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(json_keys, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+def written_bytes(value):
+    """The bytes `save_bundle` writes, or the type of what it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.json"
+        try:
+            save_bundle(value, path)
+        except Exception as exc:
+            return type(exc)
+        return path.read_bytes()
+
+
+def encoded_bytes(value):
+    try:
+        return oracles.bundle_text(value).encode()
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_writer_matches_the_indenting_encoder(value):
+    assert written_bytes(value) == encoded_bytes(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(3)], {"d2": [[0, np.int64(1)]]}])
+def test_writer_refuses_numpy_ints_like_the_encoder(value):
+    assert written_bytes(value) is encoded_bytes(value) is TypeError
+
+
+matrix_leaves = st.one_of(
+    st.integers(-9, 9), st.sampled_from(ODD_INTS), st.booleans(), st.floats(), st.none(), st.text(max_size=2)
+)
+candidate_matrices = st.one_of(
+    st.integers(0, 4).flatmap(lambda width: st.lists(st.lists(json_ints, min_size=width, max_size=width), max_size=4)),
+    st.lists(st.lists(matrix_leaves, max_size=4), max_size=4),
+    st.lists(st.lists(st.lists(json_ints, max_size=2), max_size=3), max_size=3),
+    st.lists(st.one_of(st.lists(json_ints, max_size=2), json_ints), max_size=3),
+    matrix_leaves,
+    st.dictionaries(st.text(max_size=2), json_ints, max_size=2),
+)
+
+
+def read_matrix(fn, rows):
+    """The array a matrix reader returns, or "rejected" for the errors
+    `parse_bundle` reports as a ParseError."""
+    try:
+        m = fn(rows, "d2")
+    except (ParseError, TypeError, ValueError, OverflowError):
+        return "rejected"
+    return m.dtype, m.shape, m.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_matrices)
+def test_matrix_reader_accepts_what_the_per_entry_check_accepts(rows):
+    got = read_matrix(bundle_module._int_matrix, rows)
+    assert got == read_matrix(oracles.int_matrix, rows)
+    if got == "rejected":
+        with pytest.raises(ParseError):
+            bundle_module._int_matrix(rows, "d2")

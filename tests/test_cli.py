@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcdesign.bundle import load_bundle
 from dcdesign.cli import main
@@ -143,6 +149,22 @@ def test_export_json_round_trip(tmp_path):
     a, _ = load_bundle(bundle)
     b, _ = load_bundle(copy)
     assert np.array_equal(a.d1, b.d1) and np.array_equal(a.d2, b.d2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--method", "c1", "--s", "2", "--q", "2", "--p", "2", "--seed", "4"],
+        ["optimize", "--method", "c2", "--s", "2", "--lambda", "2", "--q", "2", "--p", "3", "--criterion", "cl2", "--restarts", "3", "--seed", "2"],
+        ["generate", "--method", "c3-case1", "--s", "3", "--p", "0", "--seed", "1"],
+    ],
+    ids=["generate", "optimize", "c3-case1-p0"],
+)
+def test_export_json_reproduces_the_bundle_bytes(argv, tmp_path):
+    bundle, copy = tmp_path / "d.json", tmp_path / "copy.json"
+    assert main([*argv, "-o", str(bundle)]) == 0
+    assert main(["export", str(bundle), "--format", "json", "-o", str(copy)]) == 0
+    assert copy.read_bytes() == bundle.read_bytes()
 
 
 def test_export_continuous_deterministic(tmp_path):
@@ -314,3 +336,105 @@ def test_verify_bundle_runs_full_report_once(tmp_path, monkeypatch):
     assert calls == [2]
     assert main(["verify", str(out), "--omega", "1"]) == 0
     assert calls == [2, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "which, text",
+    [
+        ("d2", "1 0\n99999999999999999999 1\n"),
+        ("d1", "2 1 2 1\n0\n99999999999999999999\n"),
+        ("d1", "2 1 2 1\n0\n1\n\xff\n"),
+        ("d2", "1 0\n\xff 1\n"),
+    ],
+    ids=["matrix-beyond-int64", "array-beyond-int64", "array-not-utf8", "matrix-not-utf8"],
+)
+def test_unreadable_text_entries_are_parse_errors(which, text, tmp_path, capsys):
+    paths = {"d1": tmp_path / "d1.oa", "d2": tmp_path / "d2.txt"}
+    paths["d1"].write_text("2 1 2 1\n0\n1\n")
+    paths["d2"].write_text("1 0\n0 1\n")
+    paths[which].write_bytes(text.encode("latin-1"))
+    assert main(["verify", str(paths["d1"]), str(paths["d2"])]) == 2
+    assert "parse error" in capsys.readouterr().err
+    if which == "d1":
+        out = tmp_path / "x.json"
+        assert main(["generate", "--method", "c1", "--s", "2", "--q", "1", "--oa", str(paths["d1"]), "-o", str(out)]) == 2
+
+
+@pytest.mark.parametrize("levels", ["0", "2,0", "-1", "4611686018427387904", "4611686018427387904,4", "100000000000000000000"])
+def test_level_counts_below_one_or_past_int64_exit_two(levels, tmp_path):
+    d1_path, d2_path = write_reference_files(tmp_path)
+    d1_path.write_text(d1_path.read_text().replace("8 2 2 2", f"8 2 {levels} 2"))
+    assert main(["verify", str(d1_path), str(d2_path)]) == 2
+
+
+def test_bundle_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_bytes(b'{"format": "dcd-bundle/1", "s": "\xff"}\n')
+    assert main(["verify", str(path)]) == 2
+    assert main(["export", str(path), "--format", "json", "-o", str(tmp_path / "copy.json")]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def text_rows(matrix) -> list[str]:
+    return [" ".join(map(str, row)) for row in matrix]
+
+
+def edited_file(draw, lines: list[str], token) -> bytes:
+    """`lines` with up to three line edits, and sometimes stray bytes."""
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        edit = draw(st.sampled_from(["replace-line", "replace-token", "drop", "append", "comment"]))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "replace-line" and lines:
+            lines[at] = " ".join(draw(st.lists(token, max_size=5)))
+        elif edit == "replace-token" and lines:
+            parts = lines[at].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(token)
+            lines[at] = " ".join(parts)
+        elif edit == "drop" and lines:
+            del lines[at]
+        elif edit == "append":
+            lines += [" ".join(row) for row in draw(st.lists(st.lists(token, max_size=5), max_size=9))]
+        else:
+            lines.insert(at, "# " + draw(token))
+    data = "\n".join(lines).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@st.composite
+def loader_files(draw):
+    """Bytes of an array-text file and a matrix file for `dcd verify` (the
+    8-run pair) and of a 9-run array for `dcd generate --method c1 --s 3`,
+    edited with random headers, huge and negative ints, Unicode digits,
+    ragged rows, comments and stray bytes."""
+    number = st.one_of(
+        st.integers(-3, 9),
+        st.sampled_from([2**62, 2**63, -(2**63) - 1, 10**20, -(10**30), 2**64]),
+    ).map(str)
+    token = st.one_of(number, st.sampled_from(["٣", "²", "x", "1.5", "2,2", "0,2", "4611686018427387904,4", "1_0", "#", "-"]))
+
+    def header(*valid):
+        # each field stays valid three times in four, so most edits reach past the header
+        return " ".join(draw(token) if draw(st.integers(0, 3)) == 0 else v for v in valid)
+
+    d1 = edited_file(draw, [header("8", "2", "2", "2"), *text_rows(ref.D1_8RUN)], token)
+    d2 = edited_file(draw, text_rows(ref.D2_8RUN), token)
+    a = edited_file(draw, [header("9", "4", "3", "2"), *text_rows(ref.A1_9RUN)], token)
+    return d1, d2, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader_files())
+def test_text_loaders_exit_with_a_documented_code(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("d1.oa", "d2.txt", "a.oa")]
+        for path, data in zip(paths, files):
+            path.write_bytes(data)
+        d1, d2, a = map(str, paths)
+        out = str(Path(tmp) / "d.json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", d1, d2]) in (0, 1, 2, 3)
+            assert main(["generate", "--method", "c1", "--s", "3", "--oa", a, "-o", out]) in (0, 1, 2, 3)

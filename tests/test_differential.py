@@ -191,8 +191,8 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
     """The coupling routes make one kernel call per qualitative factor
     subset, however many quantitative columns there are, and full_report
     makes the same number of orthogonal-array checks at p=9 and p=18.  The
-    pairwise stratification survey makes one kernel call per (grid, column),
-    never one per column pair, and no grid_stratification call."""
+    pairwise stratification survey makes at most one kernel call per (grid,
+    column), never one per column pair, and no grid_stratification call."""
     import dcdesign.arrays
 
     kernel = count_calls(monkeypatch, verify, "balanced_columns")
@@ -220,8 +220,10 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
     assert coupling == [2 * (q + q * (q - 1) // 2)] * 2
     assert report_oa_checks[0] == report_oa_checks[1]
     # n=81: the first pair pass over b (b is not of strength 2), then the
-    # s^2 x s, s x s^2 and s x s grids, one call per column each
-    assert survey == [1 + 3 * (p - 1) for p in (9, 18)]
+    # s^2 x s and s x s^2 grids, one call per column each, and the s x s
+    # grid only for the columns with a pair that fails both finer grids
+    assert survey == [21, 44]
+    assert all(calls <= 1 + 3 * (p - 1) for calls, p in zip(survey, (9, 18)))
     assert not grid
 
 
