@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .arrays import (
     OrthogonalArray,
-    grid_stratification,
     is_croa,
     is_latin_hypercube,
     is_orthogonal_array,
@@ -35,7 +34,6 @@ from .rng import derive_seed
 from .verify import (
     VerificationReport,
     check_coupling,
-    check_mcd,
     check_projections,
     croa_partition,
     full_report,
@@ -57,7 +55,6 @@ __all__ = [
     "bush_oa",
     "centered_l2_discrepancy",
     "check_coupling",
-    "check_mcd",
     "check_projections",
     "construct_c1",
     "construct_c2",
@@ -66,7 +63,6 @@ __all__ = [
     "derive_seed",
     "full_factorial",
     "full_report",
-    "grid_stratification",
     "is_croa",
     "is_latin_hypercube",
     "is_orthogonal_array",

@@ -1,6 +1,6 @@
 """Core matrix operations: orthogonal-array and Latin-hypercube predicates,
-the balance-counting kernel behind every coupling check, level collapse and
-expansion, and grid stratification counting.
+the balance-counting kernel behind every coupling check and stratification
+count, and level collapse and expansion.
 
 All structural checks use exact integer arithmetic; no tolerances exist here.
 Levels are always 0-indexed.
@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    LevelOutOfRange,
-    NonDivisibleGrid,
-    StrengthMismatch,
-    TooLarge,
-    UnbalancedColumn,
-)
+from .errors import LevelOutOfRange, StrengthMismatch, UnbalancedColumn
 from .rng import as_generator
 
 
@@ -167,56 +161,6 @@ def is_croa(matrix, s: int) -> bool:
         return False
     blocks = m.reshape(n // s, s, n_cols)
     return bool(np.all(np.sort(blocks, axis=1) == np.arange(s)[None, :, None]))
-
-
-def croa_partition_exists(matrix, s: int) -> bool:
-    """Exhaustive search for any row partition into blocks of s rows that
-    each contain every level once per column.  Slow; bounded at n <= 16."""
-    m = as_matrix(matrix)
-    n, n_cols = m.shape
-    if n > 16:
-        raise TooLarge("exhaustive partition search is limited to 16 rows")
-    if n % s or (m.size and int(m.max()) >= s):
-        return False
-    if not is_orthogonal_array(m, s, min(2, n_cols)):
-        return False
-    rows = [tuple(r) for r in m]
-
-    def compatible(group, cand):
-        return all(all(rows[g][j] != rows[cand][j] for j in range(n_cols)) for g in group)
-
-    def extend(avail, group):
-        if len(group) == s:
-            return search([i for i in avail if i not in group])
-        start = max(group) + 1
-        for cand in avail:
-            if cand < start or cand in group:
-                continue
-            if compatible(group, cand):
-                if extend(avail, group + [cand]):
-                    return True
-        return False
-
-    def search(avail):
-        if not avail:
-            return True
-        return extend(avail, [avail[0]])
-
-    return search(list(range(n)))
-
-
-def grid_stratification(x, y, lx: int, ly: int, gx: int, gy: int) -> bool:
-    """True iff collapsing x to gx cells and y to gy cells puts equally many
-    points in every cell of the gx-by-gy grid."""
-    if gx < 1 or gy < 1 or lx % gx or ly % gy:
-        raise NonDivisibleGrid(f"grid {gx}x{gy} does not divide levels {lx}x{ly}")
-    cx = np.asarray(x, dtype=int)
-    cy = np.asarray(y, dtype=int)
-    if cx.shape != cy.shape or cx.ndim != 1:
-        raise ValueError("x and y must be 1-D of equal length")
-    if cx.size and (cx.min() < 0 or cx.max() >= lx or cy.min() < 0 or cy.max() >= ly):
-        raise LevelOutOfRange("column entries outside declared level range")
-    return bool(balanced_columns(cx // (lx // gx), gx, (cy // (ly // gy))[:, None], gy)[0])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ Catalogue files are untrusted: strength is always re-verified on load.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
 from .gf import GaloisField
 
 FULL_FACTORIAL_MAX = 10**7
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def full_factorial(s: int, u: int) -> OrthogonalArray:
@@ -108,11 +110,19 @@ def normalize_block_form(a: OrthogonalArray) -> OrthogonalArray:
     return OrthogonalArray(a.matrix[order], a.levels, a.strength)
 
 
+def _int(token: str) -> int:
+    """An ASCII decimal integer, optionally negative; int() alone would also
+    take '+2', '1_0' and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _parse_levels(token: str, m: int):
     parts = token.split(",")
     if len(parts) > 1 and len(parts) != m:
         raise ParseError(f"header lists {len(parts)} level counts for {m} columns")
-    levels = tuple(int(p) for p in parts)
+    levels = tuple(_int(p) for p in parts)
     if min(levels) < 1:
         raise ParseError(f"level counts must be positive, got {token!r}")
     return levels if len(parts) > 1 else levels[0]
@@ -137,7 +147,7 @@ def _int_rows(path, lines: list[str]) -> np.ndarray:
     """Whitespace-separated integer rows of one width as an int64 matrix;
     entries that are not integers or do not fit int64 are a ParseError."""
     try:
-        rows = [[int(v) for v in ln.split()] for ln in lines]
+        rows = [[_int(v) for v in ln.split()] for ln in lines]
     except ValueError as exc:
         raise ParseError(f"{path}: non-integer entry: {exc}") from exc
     if len({len(r) for r in rows}) != 1:
@@ -160,7 +170,7 @@ def load_oa(path) -> OrthogonalArray:
     if len(header) != 4:
         raise ParseError(f"{path}: header must be 'n m s t', got {lines[0]!r}")
     try:
-        n, m, t = int(header[0]), int(header[1]), int(header[3])
+        n, m, t = _int(header[0]), _int(header[1]), _int(header[3])
         levels = _parse_levels(header[2], m)
     except ValueError as exc:
         raise ParseError(f"{path}: bad header: {exc}") from exc

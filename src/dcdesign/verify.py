@@ -1,22 +1,24 @@
 """Executable checks for doubly coupled designs.
 
-Three routes decide the same property through distinct conditions and must
-agree.  Each condition asks one counting kernel, ``arrays.balanced_columns``,
-whether a qualitative key balances against all p collapsed columns at once:
+One counting kernel, ``arrays.balanced_columns``, decides every coupling
+condition: it asks whether a qualitative key balances against all p
+collapsed columns at once.  Three public entry points put it to use:
 
 - ``check_coupling`` slices rows per level combination and, for coupling
   order omega, demands that every slice's collapsed quantitative values form
   a permutation (the definition, checked directly);
-- ``check_projections`` tests the equivalent projection conditions on the
-  collapsed quantitative columns: every (qualitative, once-collapsed) pair
-  balanced at strength 2, and every (qualitative, qualitative,
-  twice-collapsed) triple balanced at strength 3;
-- ``witness_decomposition`` recovers the certificate pair (b, c) from the
-  collapsed design and tests its triple conditions.
+- ``check_projections`` tests the equivalent order-2 projection conditions:
+  every (qualitative, once-collapsed) pair balanced at strength 2, and every
+  (qualitative, qualitative, twice-collapsed) triple balanced at strength 3;
+- ``witness_decomposition`` adds the certificate pair (b, c) with
+  collapse(d2, s) == s*b + c to the projection report.
 
-Reports list every offending index tuple, not just the first, so externally
-loaded designs get usable diagnostics.  The per-column loops the kernel
-replaced stay in the test suite as oracles that the routes must match.
+``full_report`` makes one order-2 pass, through ``check_coupling``, and
+reads the witness verdict off that report.  The independent cross-checks
+are the loop-based routes in ``tests/oracles.py`` and the benchmark's
+``perfbench/oracle.py``, not a second route here.  Reports list every
+offending index tuple, not just the first, so externally loaded designs get
+usable diagnostics.
 """
 
 from __future__ import annotations
@@ -120,30 +122,6 @@ def check_coupling(design: CoupledDesign, omega: int = 2) -> VerificationReport:
     return report
 
 
-def check_mcd(design: CoupledDesign) -> VerificationReport:
-    """Marginal coupling only (order 1)."""
-    return check_coupling(design, omega=1)
-
-
-def _order2_report(design: CoupledDesign, a_values, a_levels: int, b_values) -> VerificationReport:
-    """Condition (a): each z_i balances against every column of `a_values`
-    (a_levels values each); condition (b): each (z_i, z_j) balances against
-    every column of `b_values` (n/s^2 values each)."""
-    n, s, q = design.n, design.s, design.q
-    report = VerificationReport(n=n, s=s, q=q, p=design.p, omega_checked=2)
-    report.d1_is_oa = _d1_is_oa(design)
-    report.d2_is_lh = is_latin_hypercube(design.d2)
-    z = design.d1
-    for i in range(q):
-        report.condition_a_failures += _failing(balanced_columns(z[:, i], s, a_values, a_levels), (i,))
-    for i, j in itertools.combinations(range(q), 2):
-        ok = balanced_columns(z[:, i] * s + z[:, j], s * s, b_values, n // s**2)
-        report.condition_b_failures += _failing(ok, (i, j))
-    report.condition_a = not report.condition_a_failures
-    report.condition_b = not report.condition_b_failures
-    return report
-
-
 def check_projections(design: CoupledDesign) -> VerificationReport:
     """Projection-condition check, equivalent to coupling order 2.
 
@@ -152,33 +130,46 @@ def check_projections(design: CoupledDesign) -> VerificationReport:
     Condition (b): each (qualitative, qualitative, twice-collapsed) triple
     hits every combination exactly once.
     """
-    n, s = design.n, design.s
+    n, s, q = design.n, design.s, design.q
     if n % s**2:
         raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^2")
-    return _order2_report(design, design.d2 // s, n // s, design.d2 // s**2)
+    report = VerificationReport(n=n, s=s, q=q, p=design.p, omega_checked=2)
+    report.d1_is_oa = _d1_is_oa(design)
+    report.d2_is_lh = is_latin_hypercube(design.d2)
+    z, once = design.d1, design.d2 // s
+    for i in range(q):
+        report.condition_a_failures += _failing(balanced_columns(z[:, i], s, once, n // s), (i,))
+    for i, j in itertools.combinations(range(q), 2):
+        ok = balanced_columns(z[:, i] * s + z[:, j], s * s, once // s, n // s**2)
+        report.condition_b_failures += _failing(ok, (i, j))
+    report.condition_a = not report.condition_a_failures
+    report.condition_b = not report.condition_b_failures
+    return report
+
+
+def _certificate(design: CoupledDesign):
+    """(b, c, balanced): the certificate arrays with collapse(d2, s) ==
+    s*b + c, and whether every column of b takes each of its n/s^2 values,
+    and every column of c each of its s values, equally often.  A d2 entry
+    of n or more puts b out of range and raises LevelOutOfRange."""
+    s = design.s
+    b, c = np.divmod(design.d2 // s, s)
+    balanced = not design.p or (is_orthogonal_array(b, design.n // s**2, 1) and is_orthogonal_array(c, s, 1))
+    return b, c, balanced
 
 
 def witness_decomposition(design: CoupledDesign):
-    """Recover the certificate arrays and test their balance conditions.
+    """The projection report together with the certificate arrays.
 
-    Returns (b, c, report) where b is the twice-collapsed design, c the
-    remainder with collapse(d2, s) == s*b + c.  The report checks that b and
-    c are balanced, that every (z_i, z_j, b_k) triple is fully balanced at
-    strength 3, and likewise every (z_i, c_k, b_k) triple.  The verdict
-    coincides with check_projections on any input.
+    Returns (b, c, report): b is the twice-collapsed design and c the
+    remainder, with collapse(d2, s) == s*b + c.  The report is
+    check_projections' one, with witness_check set when b and c are
+    balanced and every projection condition holds.  Condition (a) is the
+    certificate's (z_i, c_k, b_k) triple condition, since (c_k, b_k) numbers
+    the once-collapsed values one to one.
     """
-    n, s = design.n, design.s
-    if n % s**2:
-        raise RunSizeNotDivisible(f"{n} rows not divisible by {s}^2")
-    once = design.d2 // s
-    b = once // s
-    c = once - s * b
-    g = n // s**2
-    # (z_i, c_k, b_k) triples, with the pair (c_k, b_k) numbered c_k*g + b_k
-    report = _order2_report(design, c * g + b, s * g, b)
-    balanced = True
-    if design.p:
-        balanced = is_orthogonal_array(b, g, 1) and is_orthogonal_array(c, s, 1)
+    report = check_projections(design)
+    b, c, balanced = _certificate(design)
     report.witness_check = balanced and report.passed
     return b, c, report
 
@@ -256,13 +247,15 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
 
 
 def full_report(design: CoupledDesign, omega: int = 2) -> VerificationReport:
-    """Everything at once: coupling at `omega`, the witness conditions (an
-    order-2 property, so only checked when omega >= 2), the consecutive-block
+    """Everything at once: coupling at `omega`, the witness verdict (an
+    order-2 property, so only set when omega >= 2, from the same pass's
+    order-2 fields and the certificate balance), the consecutive-block
     partition of d1, and the stratification survey."""
     report = check_coupling(design, omega)
     report.croa_partition = croa_partition(design.d1, design.s)
-    if omega >= 2 and design.n % design.s**2 == 0:
-        _, _, wreport = witness_decomposition(design)
-        report.witness_check = wreport.witness_check
+    if omega >= 2:
+        _, _, balanced = _certificate(design)
+        order2 = (report.d1_is_oa, report.d2_is_lh, report.condition_a, report.condition_b)
+        report.witness_check = balanced and all(order2)
     report.stratification = stratification_report(design).stratification
     return report

@@ -3,13 +3,16 @@
 These are the verification routes, the c3 precondition and the level
 expansion as they were written before the counting kernel
 (``arrays.balanced_columns``) replaced their per-column loops: one
-``column_stack`` + ``is_orthogonal_array`` (or one ``grid_stratification``)
-per index tuple, and one ``permutation`` call per level.  The two space-
-filling criteria are kept as they were before row blocking: one (n, n, p)
-tensor each.  The bundle text is the standard library's indenting encoder,
-and the bundle matrix reader the per-entry type check it had before its
-scans moved to C.  The differential tests hold the library routes to the
-reports, exceptions, random streams, criterion floats and bytes of these.
+``column_stack`` + ``is_orthogonal_array`` (or one ``grid_stratification``,
+the one-pair grid check the library once exported) per index tuple, and one
+``permutation`` call per level.  ``full_report`` assembles them as the
+library's report did when it ran the coupling and witness routes apart.
+The two space-filling criteria are kept as they were before row blocking:
+one (n, n, p) tensor each.  The bundle text is the standard library's
+indenting encoder, and the bundle matrix reader the per-entry type check it
+had before its scans moved to C.  The differential tests hold the library
+routes to the reports, exceptions, random streams, criterion floats and
+bytes of these.
 """
 
 import itertools
@@ -17,8 +20,9 @@ import json
 
 import numpy as np
 
-from dcdesign.arrays import as_matrix, grid_stratification, is_latin_hypercube, is_orthogonal_array
+from dcdesign.arrays import as_matrix, balanced_columns, is_latin_hypercube, is_orthogonal_array
 from dcdesign.errors import (
+    LevelOutOfRange,
     NonDivisibleGrid,
     OmegaExceedsQ,
     ParseError,
@@ -27,7 +31,7 @@ from dcdesign.errors import (
     UnbalancedColumn,
 )
 from dcdesign.rng import as_generator
-from dcdesign.verify import StratificationCheck, VerificationReport
+from dcdesign.verify import StratificationCheck, VerificationReport, croa_partition
 
 
 def _d1_is_oa(design):
@@ -124,6 +128,20 @@ def witness_decomposition(design):
     return b, c, report
 
 
+def grid_stratification(x, y, lx, ly, gx, gy):
+    """True iff collapsing x to gx cells and y to gy cells puts equally many
+    points in every cell of the gx-by-gy grid."""
+    if gx < 1 or gy < 1 or lx % gx or ly % gy:
+        raise NonDivisibleGrid(f"grid {gx}x{gy} does not divide levels {lx}x{ly}")
+    cx = np.asarray(x, dtype=int)
+    cy = np.asarray(y, dtype=int)
+    if cx.shape != cy.shape or cx.ndim != 1:
+        raise ValueError("x and y must be 1-D of equal length")
+    if cx.size and (cx.min() < 0 or cx.max() >= lx or cy.min() < 0 or cy.max() >= ly):
+        raise LevelOutOfRange("column entries outside declared level range")
+    return bool(balanced_columns(cx // (lx // gx), gx, (cy // (ly // gy))[:, None], gy)[0])
+
+
 def stratification_report(design):
     n, s, p = design.n, design.s, design.p
     report = VerificationReport(n=n, s=s, q=design.q, p=p)
@@ -149,6 +167,17 @@ def stratification_report(design):
             except NonDivisibleGrid:
                 continue
             report.stratification.append(StratificationCheck(i, j, gx, gy, ok))
+    return report
+
+
+def full_report(design, omega=2):
+    """The coupling oracle at `omega`, with the witness oracle's verdict at
+    omega >= 2, the block partition and the survey oracle."""
+    report = check_coupling(design, omega)
+    report.croa_partition = croa_partition(design.d1, design.s)
+    if omega >= 2:
+        report.witness_check = witness_decomposition(design)[2].witness_check
+    report.stratification = stratification_report(design).stratification
     return report
 
 

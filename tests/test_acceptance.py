@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dcdesign.arrays import (
-    grid_stratification,
     is_orthogonal_array,
     level_collapse,
     make_oa,
@@ -41,6 +40,7 @@ from dcdesign.verify import (
 
 import refdesigns as ref
 from conftest import naive_oa_check
+from oracles import grid_stratification
 from test_construct import reference_replicated_plan, reference_stacked_plan, stacked_arrays
 from test_gf import axioms_hold
 

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcdesign.arrays import (
-    croa_partition_exists,
-    grid_stratification,
     is_croa,
     is_latin_hypercube,
     is_orthogonal_array,
@@ -26,6 +24,7 @@ from dcdesign.oabuild import full_factorial
 
 import refdesigns as ref
 from conftest import naive_oa_check
+from oracles import grid_stratification
 
 
 def test_reference_d1_is_strength2():
@@ -161,25 +160,6 @@ def test_croa_consecutive_verdicts_match_naive_loops():
     for perm in itertools.permutations(range(4)):
         m = base[list(perm)]
         assert is_croa(m, 2) == naive(m, 2)
-
-
-def test_partition_search_finds_non_consecutive_partition():
-    # factorial order is not consecutive-resolvable but can be re-paired
-    m = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    assert not is_croa(m, 2)
-    assert croa_partition_exists(m, 2)
-    # any row order of this array admits some partition
-    for perm in itertools.permutations(range(4)):
-        assert croa_partition_exists(m[list(perm)], 2)
-    assert not croa_partition_exists(np.array([[0, 0], [0, 1], [1, 1], [0, 0]]), 2)
-
-
-def test_partition_search_is_bounded():
-    from dcdesign.errors import TooLarge
-
-    big = np.tile(np.array([[0], [1]]), (9, 1))
-    with pytest.raises(TooLarge):
-        croa_partition_exists(big, 2)
 
 
 def test_grid_stratification_reference_pair():

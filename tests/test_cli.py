@@ -341,18 +341,35 @@ def test_verify_bundle_runs_full_report_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "which, text",
     [
-        ("d2", "1 0\n99999999999999999999 1\n"),
-        ("d1", "2 1 2 1\n0\n99999999999999999999\n"),
-        ("d1", "2 1 2 1\n0\n1\n\xff\n"),
-        ("d2", "1 0\n\xff 1\n"),
+        ("d2", b"1 0\n99999999999999999999 1\n"),
+        ("d1", b"2 1 2 1\n0\n99999999999999999999\n"),
+        ("d1", b"2 1 2 1\n0\n1\n\xff\n"),
+        ("d2", b"1 0\n\xff 1\n"),
+        ("d2", b"1 0\n0 +1\n"),
+        ("d2", b"1_0 0\n0 1\n"),
+        ("d1", "2 1 2 1\n0\n\u0666\n".encode()),
+        ("d1", b"2 1 +2 1\n0\n1\n"),
+        ("d1", b"2 1 2 1_0\n0\n1\n"),
+        ("d1", "2 1 \u0666 1\n0\n1\n".encode()),
     ],
-    ids=["matrix-beyond-int64", "array-beyond-int64", "array-not-utf8", "matrix-not-utf8"],
+    ids=[
+        "matrix-beyond-int64",
+        "array-beyond-int64",
+        "array-not-utf8",
+        "matrix-not-utf8",
+        "matrix-plus-sign",
+        "matrix-underscore",
+        "array-non-ascii-digit",
+        "header-plus-sign",
+        "header-underscore",
+        "header-non-ascii-digit",
+    ],
 )
 def test_unreadable_text_entries_are_parse_errors(which, text, tmp_path, capsys):
     paths = {"d1": tmp_path / "d1.oa", "d2": tmp_path / "d2.txt"}
     paths["d1"].write_text("2 1 2 1\n0\n1\n")
     paths["d2"].write_text("1 0\n0 1\n")
-    paths[which].write_bytes(text.encode("latin-1"))
+    paths[which].write_bytes(text)
     assert main(["verify", str(paths["d1"]), str(paths["d2"])]) == 2
     assert "parse error" in capsys.readouterr().err
     if which == "d1":
@@ -414,7 +431,7 @@ def loader_files(draw):
         st.integers(-3, 9),
         st.sampled_from([2**62, 2**63, -(2**63) - 1, 10**20, -(10**30), 2**64]),
     ).map(str)
-    token = st.one_of(number, st.sampled_from(["٣", "²", "x", "1.5", "2,2", "0,2", "4611686018427387904,4", "1_0", "#", "-"]))
+    token = st.one_of(number, st.sampled_from(["٣", "²", "x", "1.5", "2,2", "0,2", "4611686018427387904,4", "1_0", "+2", "#", "-"]))
 
     def header(*valid):
         # each field stays valid three times in four, so most edits reach past the header

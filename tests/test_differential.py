@@ -86,6 +86,8 @@ def test_verification_routes_match_loop_oracles(design):
     assert outcome(verify.check_projections, design) == outcome(oracles.check_projections, design)
     assert outcome(verify.witness_decomposition, design) == outcome(oracles.witness_decomposition, design)
     assert outcome(verify.stratification_report, design) == outcome(oracles.stratification_report, design)
+    for omega in range(min(design.q, 3) + 1):
+        assert outcome(verify.full_report, design, omega) == outcome(oracles.full_report, design, omega)
 
 
 def test_higher_order_failures_match_oracle():
@@ -190,15 +192,16 @@ def count_calls(monkeypatch, module, name):
 def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch):
     """The coupling routes make one kernel call per qualitative factor
     subset, however many quantitative columns there are, and full_report
-    makes the same number of orthogonal-array checks at p=9 and p=18.  The
-    pairwise stratification survey makes at most one kernel call per (grid,
-    column), never one per column pair, and no grid_stratification call."""
+    makes one order-2 pass (no witness_decomposition call) and the same
+    number of orthogonal-array checks at p=9 and p=18.  The pairwise
+    stratification survey makes at most one kernel call per (grid, column),
+    never one per column pair."""
     import dcdesign.arrays
 
     kernel = count_calls(monkeypatch, verify, "balanced_columns")
     oa_checks = count_calls(monkeypatch, verify, "is_orthogonal_array")
     oa_checks_in_arrays = count_calls(monkeypatch, dcdesign.arrays, "is_orthogonal_array")
-    grid = count_calls(monkeypatch, dcdesign.arrays, "grid_stratification")
+    witness = count_calls(monkeypatch, verify, "witness_decomposition")
     q = 3
     coupling, survey, report_oa_checks = [], [], []
     for p in (9, 18):
@@ -206,7 +209,6 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
         for calls in (kernel, oa_checks, oa_checks_in_arrays):
             calls.clear()
         verify.check_coupling(design, 2)
-        verify.witness_decomposition(design)
         coupling.append(len(kernel))
         kernel.clear()
         verify.stratification_report(design)
@@ -217,14 +219,14 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
         assert verify.full_report(design, omega=2).passed
         assert len(kernel) == coupling[-1] + survey[-1]
         report_oa_checks.append(len(oa_checks) + len(oa_checks_in_arrays))
-    assert coupling == [2 * (q + q * (q - 1) // 2)] * 2
+    assert coupling == [q + q * (q - 1) // 2] * 2
+    assert not witness
     assert report_oa_checks[0] == report_oa_checks[1]
     # n=81: the first pair pass over b (b is not of strength 2), then the
     # s^2 x s and s x s^2 grids, one call per column each, and the s x s
     # grid only for the columns with a pair that fails both finer grids
     assert survey == [21, 44]
     assert all(calls <= 1 + 3 * (p - 1) for calls, p in zip(survey, (9, 18)))
-    assert not grid
 
 
 @st.composite
