@@ -77,13 +77,18 @@ def balanced_columns(key, n_keys: int, y, n_levels: int) -> np.ndarray:
     """
     key = np.asarray(key)
     y = np.asarray(y)
-    n, p = y.shape
-    if key.shape != (n,) or n_keys < 1 or n_levels < 1:
+    if key.shape != (y.shape[0],) or n_keys < 1 or n_levels < 1:
         raise ValueError(f"need one key per row and positive counts, got {key.shape}, {n_keys}, {n_levels}")
-    if n and (key.min() < 0 or key.max() >= n_keys):
+    if key.size and (key.min() < 0 or key.max() >= n_keys):
         raise LevelOutOfRange(f"key entries outside 0..{n_keys - 1}")
     if y.size and (y.min() < 0 or y.max() >= n_levels):
         raise LevelOutOfRange(f"column entries outside 0..{n_levels - 1}")
+    return _balanced(key, n_keys, y, n_levels)
+
+
+def _balanced(key: np.ndarray, n_keys: int, y: np.ndarray, n_levels: int) -> np.ndarray:
+    """balanced_columns without its checks, for entries known to be in range."""
+    n, p = y.shape
     cells = n_keys * n_levels
     if n % cells:
         return np.zeros(p, dtype=bool)
@@ -109,6 +114,30 @@ def level_collapse(matrix, s: int) -> np.ndarray:
     return as_matrix(matrix) // s
 
 
+def _expansion_draws(m: np.ndarray, gen):
+    """Per column of `m`, in turn: the values level_expand gives it, in
+    level order.  They depend only on the column's level count."""
+    n = m.shape[0]
+    for j in range(m.shape[1]):
+        col = m[:, j]
+        n_levels = int(col.max()) + 1 if n else 0
+        if n_levels == 0 or n % n_levels:
+            raise UnbalancedColumn(f"column {j}: {n} rows cannot split into {n_levels} levels")
+        block = n // n_levels
+        if not np.all(np.bincount(col, minlength=n_levels) == block):
+            raise UnbalancedColumn(f"column {j}: levels do not occur {block} times each")
+        perms = gen.permuted(np.tile(np.arange(block), (n_levels, 1)), axis=1)
+        yield (perms + block * np.arange(n_levels)[:, None]).ravel()
+
+
+def _expand_column(col: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`col` expanded by its draws: its rows of level i, in row order, take
+    block i of `values`."""
+    out = np.empty_like(values)
+    out[np.argsort(col, kind="stable")] = values
+    return out
+
+
 def level_expand(matrix, rng) -> np.ndarray:
     """Randomized inverse of level_collapse, one column at a time.
 
@@ -119,20 +148,10 @@ def level_expand(matrix, rng) -> np.ndarray:
     Collapsing the result by n/L restores the input.  One permuted call per
     column draws as L sequential permutation(n/L) calls would.
     """
-    gen = as_generator(rng)
     m = as_matrix(matrix)
-    n = m.shape[0]
     out = np.empty_like(m)
-    for j in range(m.shape[1]):
-        col = m[:, j]
-        n_levels = int(col.max()) + 1 if n else 0
-        if n_levels == 0 or n % n_levels:
-            raise UnbalancedColumn(f"column {j}: {n} rows cannot split into {n_levels} levels")
-        block = n // n_levels
-        if not np.all(np.bincount(col, minlength=n_levels) == block):
-            raise UnbalancedColumn(f"column {j}: levels do not occur {block} times each")
-        perms = gen.permuted(np.tile(np.arange(block), (n_levels, 1)), axis=1)
-        out[np.argsort(col, kind="stable"), j] = (perms + block * np.arange(n_levels)[:, None]).ravel()
+    for j, values in enumerate(_expansion_draws(m, as_generator(rng))):
+        out[:, j] = _expand_column(m[:, j], values)
     return out
 
 

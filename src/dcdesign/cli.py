@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, minimum in (("seed", 0), ("restarts", 1), ("swap_steps", 0)):
-        if getattr(args, name, minimum) < minimum:
+    for name, minimum in (("seed", 0), ("restarts", 1), ("swap_steps", 0), ("omega", 0)):
+        if getattr(args, name, None) is not None and getattr(args, name) < minimum:
             parser.error(f"--{name.replace('_', '-')} must be at least {minimum}")
     try:
         return args.func(args)

@@ -133,14 +133,14 @@ def _stacked_inputs(arrays) -> list[OrthogonalArray]:
     return arrays
 
 
-def _assemble_stacked(arrays, p: int, plan: PermutationPlan) -> CoupledDesign:
+def _assemble_stacked(arrays, p: int, plan: PermutationPlan) -> tuple:
     lam, s = len(arrays), arrays[0].levels[-1]
     v = _plan_perms(plan.v, (p, lam), "slice permutation")
     w = _plan_perms(plan.w, (p, lam, s), "level permutation")
     d1 = np.vstack([a.matrix[:, :-1] for a in arrays])
     b = np.repeat(v.T, s * s, axis=0)
     c = np.repeat(w.transpose(1, 2, 0).reshape(lam * s, p), s, axis=0)
-    return _finish(d1, b, c, s, plan)
+    return d1, b, c, s
 
 
 def construct_c1(arrays, p: int, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
@@ -155,17 +155,17 @@ def construct_c1(arrays, p: int, plan: PermutationPlan | None = None, *, seed: i
     arrays = _stacked_inputs(arrays)
     if plan is None:
         plan = sample_plan_stacked(arrays[0].levels[-1], len(arrays), p, seed)
-    return _assemble_stacked(arrays, p, plan)
+    return _finish(*_assemble_stacked(arrays, p, plan), plan)
 
 
-def _assemble_replicated(a: OrthogonalArray, lam: int, p: int, plan: PermutationPlan) -> CoupledDesign:
+def _assemble_replicated(a: OrthogonalArray, lam: int, p: int, plan: PermutationPlan) -> tuple:
     s = a.levels[-1]
     cells = _plan_perms(plan.b_cells, (s * s, p, lam), "b cell")
     w = _plan_perms(plan.w, (p, s), "level permutation")
     d1 = np.vstack([a.matrix[:, :-1]] * lam)
     b = cells.transpose(2, 0, 1).reshape(lam * s * s, p)
     c = np.tile(np.repeat(w.T, s, axis=0), (lam, 1))
-    return _finish(d1, b, c, s, plan)
+    return d1, b, c, s
 
 
 def construct_c2(array: OrthogonalArray, lam: int, p: int, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
@@ -181,7 +181,7 @@ def construct_c2(array: OrthogonalArray, lam: int, p: int, plan: PermutationPlan
         raise DimensionMismatch(f"need lam >= 1, got {lam}")
     if plan is None:
         plan = sample_plan_replicated(a.levels[-1], lam, p, seed)
-    return _assemble_replicated(a, lam, p, plan)
+    return _finish(*_assemble_replicated(a, lam, p, plan), plan)
 
 
 def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
@@ -208,12 +208,12 @@ def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
     return a, b, select
 
 
-def _assemble_selected(a: OrthogonalArray, b: OrthogonalArray, select: tuple, plan: PermutationPlan) -> CoupledDesign:
+def _assemble_selected(a: OrthogonalArray, b: OrthogonalArray, select: tuple, plan: PermutationPlan) -> tuple:
     s = a.levels[0]
     c_perms = _plan_perms(plan.c_perms, (b.n_cols, s), "level permutation")
     (astar_index,) = set(range(a.n_cols)) - set(select)
     c = c_perms[:, a.matrix[:, astar_index]].T
-    return _finish(a.matrix[:, list(select)], b.matrix.copy(), c, s, plan)
+    return a.matrix[:, list(select)], b.matrix.copy(), c, s
 
 
 def construct_c3(a: OrthogonalArray, b: OrthogonalArray, select, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
@@ -227,7 +227,7 @@ def construct_c3(a: OrthogonalArray, b: OrthogonalArray, select, plan: Permutati
     a, b, select = _selection_inputs(a, b, select)
     if plan is None:
         plan = sample_plan_selected(a.levels[0], b.n_cols, seed)
-    return _assemble_selected(a, b, select, plan)
+    return _finish(*_assemble_selected(a, b, select, plan), plan)
 
 
 def split_strength3_inputs(g: OrthogonalArray, q: int, rng=None, shuffle: bool = False):
@@ -410,7 +410,7 @@ def _split_family_inputs(family: DesignFamily):
     return g if family.shuffle_split else _split(family, g, None)
 
 
-def _assemble_split(family: DesignFamily, inputs, plan: PermutationPlan) -> CoupledDesign:
+def _assemble_split(family: DesignFamily, inputs, plan: PermutationPlan) -> tuple:
     if family.shuffle_split:
         inputs = _split(family, inputs, plan.seed)
     return _assemble_selected(*inputs, plan)
@@ -426,7 +426,7 @@ def _sample_selected(family: DesignFamily, seed: int) -> PermutationPlan:
     return sample_plan_selected(family.s, family.p, seed)
 
 
-def _assemble_c3(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> CoupledDesign:
+def _assemble_c3(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> tuple:
     return _assemble_selected(*inputs, plan)
 
 
@@ -434,13 +434,14 @@ def _assemble_c3(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> 
 class Method:
     """The steps of one construction route on the family path.  `inputs`
     builds and validates everything that does not depend on the seed; its
-    result is what `assemble` receives with each plan.  `default_p` is the
-    p the command line uses when none is given."""
+    result is what `assemble` receives with each plan.  `assemble` validates
+    the plan and returns (d1, b, c, s), unexpanded and unverified.
+    `default_p` is the p the command line uses when none is given."""
 
     check: Callable[[DesignFamily], None]
     inputs: Callable[[DesignFamily], object]
     sample: Callable[[DesignFamily, int], PermutationPlan]
-    assemble: Callable[[DesignFamily, object, PermutationPlan], CoupledDesign]
+    assemble: Callable[[DesignFamily, object, PermutationPlan], tuple]
     default_p: Callable[[DesignFamily], int] = lambda f: f.s
 
 
@@ -511,7 +512,7 @@ def sample_family_plan(family: DesignFamily, seed: int) -> PermutationPlan:
 def construct_from_plan(family: DesignFamily, inputs, plan: PermutationPlan) -> CoupledDesign:
     """Validate `plan`, then assemble, expand and verify its design from
     the `inputs` that _family_inputs resolved for `family`."""
-    return METHODS[family.method].assemble(family, inputs, plan)
+    return _finish(*METHODS[family.method].assemble(family, inputs, plan), plan)
 
 
 def build_design(family: DesignFamily, seed: int = 0) -> CoupledDesign:

@@ -23,6 +23,17 @@ bit, as the direct tensor formulas (kept as test oracles) on C-ordered
   O(n²), held by that matrix.  The matrix is summed in one call over all of
   it, because numpy's pairwise summation rounds differently over per-block
   partial sums, and the bundles pin the search trajectories' bytes.
+
+Each swap step of the search changes one quantitative column of the
+certificate s*b + c, never d1.  A restart builds and verifies its first
+design in full and draws its expansion permutations once; a step then
+re-expands and verifies only the changed column.  For maximin it updates
+integer pair sums S_ij = sum_k (l_ik - l_jk)^2 in O(n^2) and scores only the
+pairs at the smallest S, in the kernel's order, so the float is
+maximin_distance's bit for bit.  Guard: p(p+4)n^2 < 2^52 (n=4096, p=128 is
+at about 2.8e11); above it, and for CL2, a step scores from scratch.
+Memory: two vectors of 8 B per pair (67 MB each at n=4096), built only with
+swap steps and maximin.
 """
 
 from __future__ import annotations
@@ -31,9 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .construct import DesignFamily, _family_inputs, construct_from_plan, sample_family_plan
-from .design import CoupledDesign
+from .arrays import _expand_column, _expansion_draws
+from .construct import _EXPAND_STREAM, METHODS, DesignFamily, _family_inputs, construct_from_plan, sample_family_plan
+from .design import CoupledDesign, DesignWitness
 from .rng import as_generator, derive_seed
+from .verify import _column_checker
 
 TIE_TOLERANCE = 1e-12
 
@@ -141,6 +154,75 @@ def _plan_cells(plan):
     return [row for field in plan.fields().values() for row in field.reshape(-1, field.shape[-1])]
 
 
+def _pair_sums_exact(n: int, p: int) -> bool:
+    """Whether pair sums fix maximin's float minimum.  To first order each
+    midpoint difference d is off by 2^-53 (1 + |d|), so a pair's float sum
+    is within 2^-53 p(p+4) of S/n^2: under half the 1/n^2 between sums."""
+    return p * (p + 4) * n**2 < 2**52
+
+
+class _PairSums:
+    """S_ij = sum_k (l_ik - l_jk)^2 over the row pairs i < j of an integer
+    design, as one int64 vector in row-major upper-triangle order."""
+
+    def __init__(self, d2: np.ndarray):
+        self.n = n = d2.shape[0]
+        self.start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+        self.sums, self.spare = np.zeros((2, self.start[-1]), dtype=np.int64)
+        self.update(np.zeros_like(d2), d2, range(d2.shape[1]))
+        self.accept()
+
+    def update(self, d2: np.ndarray, new_d2: np.ndarray, cols) -> np.ndarray:
+        """The spare vector, set to the sums of new_d2, which differs from
+        the incumbent d2 in columns `cols` only: per row block of at most
+        BLOCK_ENTRIES pairs, each column adds (new_i - new_j)^2 -
+        (old_i - old_j)^2, factored."""
+        sums, n = self.spare, self.n
+        np.copyto(sums, self.sums)
+        rows, col = max(1, BLOCK_ENTRIES // n), np.arange(n - 1)
+        for j in cols:
+            d, t = new_d2[:, j] - d2[:, j], new_d2[:, j] + d2[:, j]
+            for i in range(0, n - 1, rows):
+                k, w = min(rows, n - 1 - i), n - 1 - i
+                delta = d[i : i + k, None] - d[i + 1 :]
+                delta *= t[i : i + k, None] - t[i + 1 :]
+                sums[self.start[i] : self.start[i + k]] += delta[col[:w] >= col[:k, None]]
+        return sums
+
+    def accept(self) -> None:
+        """Make the spare vector's sums the incumbent's."""
+        self.sums, self.spare = self.spare, self.sums
+
+    def distance(self, sums: np.ndarray, d2: np.ndarray) -> float:
+        """maximin_distance(d2), bit for bit, from d2's pair sums: only pairs
+        at the smallest sum can hold the kernel's float minimum, so only
+        they are scored as the kernel scores them, BLOCK_ENTRIES at a time."""
+        ties = np.flatnonzero(sums == sums.min())
+        best, size = np.inf, max(1, BLOCK_ENTRIES // max(d2.shape[1], 1))
+        for lo in range(0, ties.size, size):
+            pair = ties[lo : lo + size]
+            a = np.searchsorted(self.start, pair, side="right") - 1
+            x = (d2[a] + 0.5) / self.n - (d2[pair - self.start[a] + a + 1] + 0.5) / self.n
+            np.square(x, out=x)
+            best = min(best, x.sum(axis=1).min())
+        return float(np.sqrt(best))
+
+
+def _column_local(family, inputs, design, draws, check, plan):
+    """construct_from_plan(family, inputs, plan) from the incumbent
+    `design` of the same restart: assemble, then expand with the restart's
+    draws and verify only the columns whose certificate s*b + c changed.
+    Returns the design and those columns."""
+    d1, b, c, s = METHODS[family.method].assemble(family, inputs, plan)
+    x = s * b + c
+    changed = np.flatnonzero((x != design.d2 // s).any(axis=0))
+    d2 = design.d2.copy()
+    for k in changed:
+        d2[:, k] = _expand_column(x[:, k], draws[k])
+        check(d2[:, k], x[:, k])
+    return CoupledDesign(d1=d1, d2=d2, s=s, witness=DesignWitness(b=b, c=c, plan=plan)), changed
+
+
 def _swap_climb(family, inputs, plan, criterion, steps, rng):
     """Pairwise-swap hill climbing inside the plan's permutation cells; with
     steps=0, just the plan's design and its score.
@@ -149,7 +231,11 @@ def _swap_climb(family, inputs, plan, criterion, steps, rng):
     valid design by construction and no repair step exists.
     """
     design = construct_from_plan(family, inputs, plan)
-    best = score(design.d2, criterion)
+    best, sense = score(design.d2, criterion).value, CRITERIA[criterion]
+    if steps:
+        draws = list(_expansion_draws(design.d2 // design.s, as_generator(derive_seed(plan.seed, _EXPAND_STREAM))))
+        check = _column_checker(design)
+        pairs = _PairSums(design.d2) if criterion == "maximin" and _pair_sums_exact(*design.d2.shape) else None
     for _ in range(steps):
         trial = replace(plan, **{name: field.copy() for name, field in plan.fields().items()})
         cells = _plan_cells(trial)
@@ -160,10 +246,15 @@ def _swap_climb(family, inputs, plan, criterion, steps, rng):
             continue
         i, j = rng.choice(cell.shape[0], size=2, replace=False)
         cell[i], cell[j] = cell[j], cell[i]
-        candidate = construct_from_plan(family, inputs, trial)
-        value = score(candidate.d2, criterion)
-        if _improves(value.value, best.value, value.sense):
+        candidate, changed = _column_local(family, inputs, design, draws, check, trial)
+        if pairs is None:
+            value = score(candidate.d2, criterion).value
+        else:
+            value = pairs.distance(pairs.update(design.d2, candidate.d2, changed), candidate.d2)
+        if _improves(value, best, sense):
             plan, design, best = trial, candidate, value
+            if pairs is not None:
+                pairs.accept()
     return design, best
 
 
@@ -193,5 +284,5 @@ def optimize_d2(
         child = derive_seed(seed, r)
         plan = sample_family_plan(family, child)
         results.append(_swap_climb(family, inputs, plan, criterion, swap_steps, as_generator(derive_seed(child, 3))))
-    trajectory = [best.value for _, best in results]
+    trajectory = [best for _, best in results]
     return results[best_index(trajectory, CRITERIA[criterion])][0], trajectory

@@ -14,7 +14,10 @@ collapsed columns at once.  Three public entry points put it to use:
   collapse(d2, s) == s*b + c to the projection report.
 
 ``full_report`` makes one order-2 pass, through ``check_coupling``, and
-reads the witness verdict off that report.  The independent cross-checks
+reads the witness verdict off that report.  The swap search, whose steps
+each change one column of a verified design, checks just that column with
+``_column_checker``: two calls of the kernel's unchecked entry point.  The
+independent cross-checks
 are the loop-based routes in ``tests/oracles.py`` and the benchmark's
 ``perfbench/oracle.py``, not a second route here.  Reports list every
 offending index tuple, not just the first, so externally loaded designs get
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import balanced_columns, is_croa, is_latin_hypercube, is_orthogonal_array
+from .arrays import _balanced, balanced_columns, is_croa, is_latin_hypercube, is_orthogonal_array
 from .design import CoupledDesign
 from .errors import OmegaExceedsQ, RunSizeNotDivisible
 
@@ -91,9 +94,11 @@ def check_coupling(design: CoupledDesign, omega: int = 2) -> VerificationReport:
     For every l = 1..omega, every l-subset of qualitative columns, and every
     level combination: the rows of each quantitative column, collapsed by
     s^l, must form a permutation of 0..n/s^l-1.  omega=0 only checks that d2
-    is a Latin hypercube.
+    is a Latin hypercube; a negative omega raises ValueError.
     """
     n, s, q, p = design.n, design.s, design.q, design.p
+    if omega < 0:
+        raise ValueError(f"coupling order must be nonnegative, got {omega}")
     if omega > q:
         raise OmegaExceedsQ(f"omega={omega} exceeds {q} qualitative factors")
     if omega > 0 and n % s**omega:
@@ -174,6 +179,25 @@ def witness_decomposition(design: CoupledDesign):
     return b, c, report
 
 
+def _column_checker(design: CoupledDesign):
+    """check(col, certificate) for a new column of `design`, a design that
+    passed check_projections and whose d1 stays fixed.  It raises the
+    RuntimeError construction raises unless col // s == certificate, col is
+    a permutation of 0..n-1, and (one unchecked kernel call each) col // s
+    balances every d1 column and col // s^2 every pair code z_i*s + z_j."""
+    n, s, z = design.n, design.s, design.d1
+    i, j = np.triu_indices(design.q, 1)
+    codes, rows = z[:, i] * s + z[:, j], np.arange(n)
+
+    def check(col: np.ndarray, certificate: np.ndarray) -> None:
+        if not np.array_equal(col // s, certificate):
+            raise RuntimeError("internal error: expansion broke the certificate identity")
+        if not (np.array_equal(np.sort(col), rows) and _balanced(col // s, n // s, z, s).all() and _balanced(col // s**2, n // s**2, codes, s * s).all()):
+            raise RuntimeError("internal error: construction output failed verification")
+
+    return check
+
+
 def croa_partition(d1, s: int) -> bool:
     """True iff every consecutive block of s^2 rows is completely resolvable
     (consecutive-block convention)."""
@@ -214,12 +238,14 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
     b = design.d2 // s**2
     g = n // s**2
 
-    def pairs_balanced(x, gx, y, gy):
-        """Per column i < p-1: whether each pair (i, j > i) balances."""
-        return (balanced_columns(x[:, i], gx, y[:, i + 1 :], gy) for i in range(p - 1))
+    def pairs_balanced(x, gx, y, gy, first=0):
+        """Per column i < p-1 from `first` on: whether each pair (i, j > i)
+        balances."""
+        return (_balanced(x[:, i], gx, y[:, i + 1 :], gy) for i in range(first, p - 1))
 
-    # the first call (column 0 against the rest) range-checks every column
-    b_strength2 = g >= 2 and all(ok.all() for ok in pairs_balanced(b, g, b, g))
+    # the one range-checked call (column 0 against the rest) covers every
+    # column of b, and so of d2 and of each collapse of it below
+    b_strength2 = g >= 2 and balanced_columns(b[:, 0], g, b[:, 1:], g).all() and all(ok.all() for ok in pairs_balanced(b, g, b, g, 1))
     grids, results = [], []
     if b_strength2:
         grids.append((g, g))
@@ -235,7 +261,7 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
             ok = ok_x | ok_y
             both_fail = np.flatnonzero(~ok)
             if both_fail.size:
-                ok[both_fail] = balanced_columns(coarse[:, i], s, coarse[:, i + 1 + both_fail], s)
+                ok[both_fail] = _balanced(coarse[:, i], s, coarse[:, i + 1 + both_fail], s)
             coarse_ok.append(ok)
         grids.append((s, s))
         results.append(coarse_ok)

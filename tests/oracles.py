@@ -8,7 +8,9 @@ the one-pair grid check the library once exported) per index tuple, and one
 ``permutation`` call per level.  ``full_report`` assembles them as the
 library's report did when it ran the coupling and witness routes apart.
 The two space-filling criteria are kept as they were before row blocking:
-one (n, n, p) tensor each.  The bundle text is the standard library's
+one (n, n, p) tensor each.  The swap search is the one that rebuilt,
+re-expanded, re-verified and re-scored every column of every candidate
+through ``construct_from_plan`` and ``score``.  The bundle text is the standard library's
 indenting encoder, and the bundle matrix reader the per-entry type check it
 had before its scans moved to C.  The differential tests hold the library
 routes to the reports, exceptions, random streams, criterion floats and
@@ -17,6 +19,7 @@ bytes of these.
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +33,9 @@ from dcdesign.errors import (
     RunSizeNotDivisible,
     UnbalancedColumn,
 )
-from dcdesign.rng import as_generator
+from dcdesign.construct import _family_inputs, construct_from_plan, sample_family_plan
+from dcdesign.criteria import CRITERIA, TIE_TOLERANCE, best_index, score
+from dcdesign.rng import as_generator, derive_seed
 from dcdesign.verify import StratificationCheck, VerificationReport, croa_partition
 
 
@@ -237,6 +242,37 @@ def centered_l2_discrepancy(d2):
     prod = np.prod(1.0 + 0.5 * dev[:, None, :] + 0.5 * dev[None, :, :] - 0.5 * cross, axis=2)
     term3 = prod.sum() / n**2
     return float(term1 - term2 + term3)
+
+
+def swap_climb(family, inputs, plan, criterion, steps, rng):
+    design = construct_from_plan(family, inputs, plan)
+    best = score(design.d2, criterion)
+    for _ in range(steps):
+        trial = replace(plan, **{name: field.copy() for name, field in plan.fields().items()})
+        cells = [row for field in trial.fields().values() for row in field.reshape(-1, field.shape[-1])]
+        if not cells:
+            break
+        cell = cells[rng.integers(len(cells))]
+        if cell.shape[0] < 2:
+            continue
+        i, j = rng.choice(cell.shape[0], size=2, replace=False)
+        cell[i], cell[j] = cell[j], cell[i]
+        candidate = construct_from_plan(family, inputs, trial)
+        value = score(candidate.d2, criterion)
+        if value.value > best.value + TIE_TOLERANCE if value.sense == "maximize" else value.value < best.value - TIE_TOLERANCE:
+            plan, design, best = trial, candidate, value
+    return design, best
+
+
+def optimize_d2(family, criterion="maximin", restarts=10, seed=0, swap_steps=0):
+    inputs = _family_inputs(family)
+    results = []
+    for r in range(restarts):
+        child = derive_seed(seed, r)
+        plan = sample_family_plan(family, child)
+        results.append(swap_climb(family, inputs, plan, criterion, swap_steps, as_generator(derive_seed(child, 3))))
+    trajectory = [best.value for _, best in results]
+    return results[best_index(trajectory, CRITERIA[criterion])][0], trajectory
 
 
 def bundle_text(bundle):

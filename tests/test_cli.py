@@ -67,6 +67,18 @@ def test_verify_counterexample_fails_with_pair_condition(tmp_path, capsys):
     assert "single-factor balance: pass" in out
 
 
+def test_negative_omega_is_a_usage_error_not_a_pass(tmp_path, capsys):
+    d1_path, _ = write_reference_files(tmp_path)
+    d2_path = tmp_path / "d2b.txt"
+    d2_path.write_text("\n".join(" ".join(map(str, r)) for r in ref.D2_8RUN_PAIR_ONLY) + "\n")
+    assert main(["verify", str(d1_path), str(d2_path), "--omega", "1"]) == 1
+    assert "single-factor balance: FAIL" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(d1_path), str(d2_path), "--omega", "-1"])
+    assert exc.value.code == 2
+    assert "--omega must be at least 0" in capsys.readouterr().err
+
+
 def test_verify_rejects_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

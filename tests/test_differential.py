@@ -177,8 +177,10 @@ def test_kernel_range_checks_instead_of_aliasing(column):
         balanced_columns(np.array([0, 0, 1, 1]), 2, np.array(column)[:, None], 2)
 
 
-def count_calls(monkeypatch, module, name):
-    calls = []
+def count_calls(monkeypatch, module, name, calls=None):
+    """Count calls of module.name, appending `name` to `calls` (a new list
+    unless one is given, so several names can share one list)."""
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args):
@@ -195,10 +197,12 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
     makes one order-2 pass (no witness_decomposition call) and the same
     number of orthogonal-array checks at p=9 and p=18.  The pairwise
     stratification survey makes at most one kernel call per (grid, column),
-    never one per column pair."""
+    never one per column pair, and only its first call goes through the
+    kernel's range-checked entry point."""
     import dcdesign.arrays
 
     kernel = count_calls(monkeypatch, verify, "balanced_columns")
+    count_calls(monkeypatch, verify, "_balanced", kernel)
     oa_checks = count_calls(monkeypatch, verify, "is_orthogonal_array")
     oa_checks_in_arrays = count_calls(monkeypatch, dcdesign.arrays, "is_orthogonal_array")
     witness = count_calls(monkeypatch, verify, "witness_decomposition")
@@ -213,6 +217,7 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
         kernel.clear()
         verify.stratification_report(design)
         survey.append(len(kernel))
+        assert kernel.count("balanced_columns") == 1
         kernel.clear()
         oa_checks.clear()
         oa_checks_in_arrays.clear()

@@ -46,6 +46,8 @@ def test_order_zero_only_checks_latin_hypercube(design_8run):
 def test_omega_bounds(design_8run):
     with pytest.raises(OmegaExceedsQ):
         check_coupling(design_8run, 3)
+    with pytest.raises(ValueError):
+        check_coupling(design_8run, -1)
     skinny = CoupledDesign(
         d1=np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 1]]),
         d2=np.arange(6).reshape(-1, 1),
