@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .arrays import (
     OrthogonalArray,
-    is_croa,
     is_latin_hypercube,
     is_orthogonal_array,
     level_collapse,
@@ -63,7 +62,6 @@ __all__ = [
     "derive_seed",
     "full_factorial",
     "full_report",
-    "is_croa",
     "is_latin_hypercube",
     "is_orthogonal_array",
     "level_collapse",

@@ -160,26 +160,9 @@ def to_continuous(lh, rng) -> np.ndarray:
     [0,1), giving one point per 1/n interval per column."""
     m = as_matrix(lh)
     if not is_latin_hypercube(m):
-        raise ValueError("input is not a Latin hypercube")
+        raise UnbalancedColumn("input is not a Latin hypercube")
     gen = as_generator(rng)
     return (m + gen.random(m.shape)) / m.shape[0]
-
-
-def is_croa(matrix, s: int) -> bool:
-    """Completely resolvable check with the consecutive-block convention.
-
-    True iff the matrix is an orthogonal array of strength min(2, n_cols) at
-    s levels and every consecutive block of s rows contains each level
-    exactly once in every column.
-    """
-    m = as_matrix(matrix)
-    n, n_cols = m.shape
-    if n == 0 or n % s or (m.size and int(m.max()) >= s):
-        return False
-    if not is_orthogonal_array(m, s, min(2, n_cols)):
-        return False
-    blocks = m.reshape(n // s, s, n_cols)
-    return bool(np.all(np.sort(blocks, axis=1) == np.arange(s)[None, :, None]))
 
 
 @dataclass(frozen=True)

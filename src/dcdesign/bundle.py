@@ -80,12 +80,23 @@ def design_to_bundle(
     return bundle
 
 
+def _decimal_table(rows):
+    """[str(0), ..., str(top)] for non-empty list or tuple rows of plain ints
+    0..top, top below the entry count, else None; one type and range scan."""
+    if set(map(type, rows)) <= {list, tuple} and all(rows) and set(map(type, itertools.chain.from_iterable(rows))) == {int}:
+        top = max(map(max, rows))
+        if min(map(min, rows)) >= 0 and top < sum(map(len, rows)):
+            return list(map(str, range(top + 1)))
+    return None
+
+
 def _indented(value, pad: str, out: list) -> None:
     """Append `value` as `json.dumps(value, indent=2, sort_keys=True)` lays
     it out at indentation `pad`.  A list of plain ints is one join (`type(x)
-    is int`, so True still reads true); keys and every other scalar or empty
-    container go through `json.dumps`, which keeps its escaping, NaN and
-    Infinity, and its TypeError on non-JSON types."""
+    is int`, so True still reads true), and so is each row of a matrix that
+    _decimal_table accepts, from that table; keys and every other scalar or
+    empty container go through `json.dumps`, which keeps its escaping, NaN
+    and Infinity, and its TypeError on non-JSON types."""
     if not isinstance(value, (dict, list, tuple)) or not value:
         out.append(json.dumps(value))
         return
@@ -100,6 +111,12 @@ def _indented(value, pad: str, out: list) -> None:
         out.append("\n" + pad + "}")
     elif set(map(type, value)) == {int}:
         out.append("[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + pad + "]")
+    elif (digits := _decimal_table(value)) is not None:
+        head, entry_sep = "[\n" + inner, sep + "  "
+        for row in value:
+            out.append(head + "[\n" + inner + "  " + entry_sep.join(map(digits.__getitem__, row)) + "\n" + inner + "]")
+            head = sep
+        out.append("\n" + pad + "]")
     else:
         out.append("[\n" + inner)
         for index, item in enumerate(value):
@@ -112,11 +129,12 @@ def _indented(value, pad: str, out: list) -> None:
 def save_bundle(bundle: dict, path) -> None:
     """Write `json.dumps(bundle, indent=2, sort_keys=True)` and a newline,
     byte for byte, without the standard library's pure-Python indenting
-    encoder."""
+    encoder, one piece at a time rather than as one joined string."""
     out: list[str] = []
     _indented(bundle, "", out)
     out.append("\n")
-    Path(path).write_text("".join(out))
+    with open(path, "w") as fh:
+        fh.writelines(out)
 
 
 def _int_matrix(rows, name: str) -> np.ndarray:
@@ -157,8 +175,8 @@ def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
     if d1.shape[1] < 1 or s > d1.shape[0]:
         raise ParseError(f"d1 must have a column and at least s={s} rows")
     report = data.get("report", {})
-    if not isinstance(report, dict) or not (report.get("omega") is None or type(report["omega"]) is int):
-        raise ParseError("bundle report must be an object with an integer or null omega")
+    if not isinstance(report, dict) or not (report.get("omega") is None or (type(report["omega"]) is int and report["omega"] >= 0)):
+        raise ParseError("bundle report must be an object with a nonnegative integer or null omega")
     return CoupledDesign(d1=d1, d2=d2, s=s, witness=witness), data
 
 

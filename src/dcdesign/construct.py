@@ -20,12 +20,13 @@ strength-3 array column-wise, ``regular_inputs`` builds the pool from
 linear columns over GF(s) for any prime power s (see the functions for the
 canonical column order).
 
-Every constructor verifies its output before returning it.
+Every constructor verifies its output once (``check_coupling`` at order
+min(2, q)) and returns it read-only, keeping that report for ``full_report``.
 
 ``METHODS`` maps each command-line method name to its steps: feasibility
-check, default p, input arrays, plan sampler and assembly.  ``build_design``
-and ``optimize_d2`` resolve a family's inputs once per call through
-``_family_inputs``; each plan then only validates, assembles and expands.
+check, default p, input arrays and their per-seed part, plan sampler and assembly.
+``build_design`` and ``optimize_d2`` resolve a family's inputs once per call
+through ``_family_inputs``; each plan then only validates, assembles and expands.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import (
 from .gf import MAX_ORDER, GaloisField, is_prime_power
 from .oabuild import bush_oa, is_block_form, linear_column, normalize_block_form
 from .rng import as_generator, derive_seed
-from .verify import check_projections, max_qualitative_factors
+from .verify import check_coupling, max_qualitative_factors
 
 _EXPAND_STREAM = 1
 _SPLIT_STREAM = 2
@@ -88,8 +89,11 @@ def _finish(d1, b, c, s, plan) -> CoupledDesign:
     design = CoupledDesign(d1=d1, d2=d2, s=s, witness=DesignWitness(b=b, c=c, plan=plan))
     if not np.array_equal(design.d2 // s, s * b + c):
         raise RuntimeError("internal error: expansion broke the certificate identity")
-    if not check_projections(design).passed:
+    design.witness.report = report = check_coupling(design, min(2, design.q))
+    if not report.passed:
         raise RuntimeError("internal error: construction output failed verification")
+    for array in (d1, d2, b, c):
+        array.setflags(write=False)
     return design
 
 
@@ -163,7 +167,7 @@ def _assemble_replicated(a: OrthogonalArray, lam: int, p: int, plan: Permutation
     cells = _plan_perms(plan.b_cells, (s * s, p, lam), "b cell")
     w = _plan_perms(plan.w, (p, s), "level permutation")
     d1 = np.vstack([a.matrix[:, :-1]] * lam)
-    b = cells.transpose(2, 0, 1).reshape(lam * s * s, p)
+    b = cells.transpose(2, 0, 1).reshape(lam * s * s, p).copy()
     c = np.tile(np.repeat(w.T, s, axis=0), (lam, 1))
     return d1, b, c, s
 
@@ -410,12 +414,6 @@ def _split_family_inputs(family: DesignFamily):
     return g if family.shuffle_split else _split(family, g, None)
 
 
-def _assemble_split(family: DesignFamily, inputs, plan: PermutationPlan) -> tuple:
-    if family.shuffle_split:
-        inputs = _split(family, inputs, plan.seed)
-    return _assemble_selected(*inputs, plan)
-
-
 def _regular_family_inputs(family: DesignFamily) -> tuple:
     a, b = regular_inputs(GaloisField(family.s), family.u)
     pool = OrthogonalArray(a.matrix[:, : family.q + 1], (family.s,) * (family.q + 1), 2)
@@ -433,9 +431,9 @@ def _assemble_c3(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> 
 @dataclass(frozen=True)
 class Method:
     """The steps of one construction route on the family path.  `inputs`
-    builds and validates everything that does not depend on the seed; its
-    result is what `assemble` receives with each plan.  `assemble` validates
-    the plan and returns (d1, b, c, s), unexpanded and unverified.
+    builds and validates everything that does not depend on the seed, and
+    `seeded` what `assemble` receives with each plan of one seed.  `assemble`
+    validates the plan and returns (d1, b, c, s), unexpanded and unverified.
     `default_p` is the p the command line uses when none is given."""
 
     check: Callable[[DesignFamily], None]
@@ -443,6 +441,7 @@ class Method:
     sample: Callable[[DesignFamily, int], PermutationPlan]
     assemble: Callable[[DesignFamily, object, PermutationPlan], tuple]
     default_p: Callable[[DesignFamily], int] = lambda f: f.s
+    seeded: Callable[[DesignFamily, object, int], object] = lambda f, inputs, seed: inputs
 
 
 METHODS = {
@@ -462,8 +461,9 @@ METHODS = {
         check=_check_split,
         inputs=_split_family_inputs,
         sample=_sample_selected,
-        assemble=_assemble_split,
+        assemble=_assemble_c3,
         default_p=lambda f: max(_split_width(f) - f.q - 1, 0),
+        seeded=lambda f, g, seed: _split(f, g, seed) if f.shuffle_split else g,
     ),
     "c3-case2": Method(
         check=_check_regular,
@@ -512,7 +512,8 @@ def sample_family_plan(family: DesignFamily, seed: int) -> PermutationPlan:
 def construct_from_plan(family: DesignFamily, inputs, plan: PermutationPlan) -> CoupledDesign:
     """Validate `plan`, then assemble, expand and verify its design from
     the `inputs` that _family_inputs resolved for `family`."""
-    return _finish(*METHODS[family.method].assemble(family, inputs, plan), plan)
+    method = METHODS[family.method]
+    return _finish(*method.assemble(family, method.seeded(family, inputs, plan.seed), plan), plan)
 
 
 def build_design(family: DesignFamily, seed: int = 0) -> CoupledDesign:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrays import _expand_column, _expansion_draws
-from .construct import _EXPAND_STREAM, METHODS, DesignFamily, _family_inputs, construct_from_plan, sample_family_plan
+from .construct import _EXPAND_STREAM, METHODS, DesignFamily, _family_inputs, _finish, sample_family_plan
 from .design import CoupledDesign, DesignWitness
 from .rng import as_generator, derive_seed
 from .verify import _column_checker
@@ -209,10 +209,10 @@ class _PairSums:
 
 
 def _column_local(family, inputs, design, draws, check, plan):
-    """construct_from_plan(family, inputs, plan) from the incumbent
-    `design` of the same restart: assemble, then expand with the restart's
-    draws and verify only the columns whose certificate s*b + c changed.
-    Returns the design and those columns."""
+    """construct_from_plan's design for `plan` from the incumbent `design`
+    of the same restart and the `inputs` resolved for its seed: assemble,
+    then expand with the restart's draws and verify only the columns whose
+    certificate s*b + c changed.  Returns the design and those columns."""
     d1, b, c, s = METHODS[family.method].assemble(family, inputs, plan)
     x = s * b + c
     changed = np.flatnonzero((x != design.d2 // s).any(axis=0))
@@ -228,9 +228,11 @@ def _swap_climb(family, inputs, plan, criterion, steps, rng):
     steps=0, just the plan's design and its score.
 
     Every move stays inside the construction family, so each candidate is a
-    valid design by construction and no repair step exists.
+    valid design by construction and no repair step exists.  Moves keep the
+    seed, so the inputs are resolved for it once.
     """
-    design = construct_from_plan(family, inputs, plan)
+    inputs = METHODS[family.method].seeded(family, inputs, plan.seed)
+    design = _finish(*METHODS[family.method].assemble(family, inputs, plan), plan)
     best, sense = score(design.d2, criterion).value, CRITERIA[criterion]
     if steps:
         draws = list(_expansion_draws(design.d2 // design.s, as_generator(derive_seed(plan.seed, _EXPAND_STREAM))))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,11 +48,13 @@ class PermutationPlan:
 
 @dataclass
 class DesignWitness:
-    """Decomposition certificate: collapse(d2, s) equals s*b + c."""
+    """Decomposition certificate: collapse(d2, s) equals s*b + c.  `report`
+    is a built design's verify.VerificationReport (never serialized)."""
 
     b: np.ndarray
     c: np.ndarray
     plan: PermutationPlan | None = None
+    report: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass

@@ -13,27 +13,28 @@ collapsed columns at once.  Three public entry points put it to use:
 - ``witness_decomposition`` adds the certificate pair (b, c) with
   collapse(d2, s) == s*b + c to the projection report.
 
-``full_report`` makes one order-2 pass, through ``check_coupling``, and
-reads the witness verdict off that report.  The swap search, whose steps
-each change one column of a verified design, checks just that column with
+``full_report`` makes one order-2 pass, through ``check_coupling``, or
+copies the report construction kept while the arrays stay read-only, and
+reads the witness verdict off it.  The swap search, whose steps each
+change one column of a verified design, checks just that column with
 ``_column_checker``: two calls of the kernel's unchecked entry point.  The
-independent cross-checks
-are the loop-based routes in ``tests/oracles.py`` and the benchmark's
-``perfbench/oracle.py``, not a second route here.  Reports list every
-offending index tuple, not just the first, so externally loaded designs get
-usable diagnostics.
+independent cross-checks are the loop-based routes in ``tests/oracles.py``
+and the benchmark's ``perfbench/oracle.py``, not a second route here.
+Reports list every offending index tuple, not just the first, so externally
+loaded designs get usable diagnostics.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import _balanced, balanced_columns, is_croa, is_latin_hypercube, is_orthogonal_array
+from .arrays import _balanced, balanced_columns, is_latin_hypercube, is_orthogonal_array
 from .design import CoupledDesign
-from .errors import OmegaExceedsQ, RunSizeNotDivisible
+from .errors import LevelOutOfRange, OmegaExceedsQ, RunSizeNotDivisible
 
 
 @dataclass
@@ -157,9 +158,10 @@ def _certificate(design: CoupledDesign):
     s*b + c, and whether every column of b takes each of its n/s^2 values,
     and every column of c each of its s values, equally often.  A d2 entry
     of n or more puts b out of range and raises LevelOutOfRange."""
-    s = design.s
+    n, s = design.n, design.s
     b, c = np.divmod(design.d2 // s, s)
-    balanced = not design.p or (is_orthogonal_array(b, design.n // s**2, 1) and is_orthogonal_array(c, s, 1))
+    one_key = np.zeros(n, dtype=int)
+    balanced = not design.p or (balanced_columns(one_key, 1, b, n // s**2).all() and _balanced(one_key, 1, c, s).all())
     return b, c, balanced
 
 
@@ -181,7 +183,7 @@ def witness_decomposition(design: CoupledDesign):
 
 def _column_checker(design: CoupledDesign):
     """check(col, certificate) for a new column of `design`, a design that
-    passed check_projections and whose d1 stays fixed.  It raises the
+    passed the order-2 conditions and whose d1 stays fixed.  It raises the
     RuntimeError construction raises unless col // s == certificate, col is
     a permutation of 0..n-1, and (one unchecked kernel call each) col // s
     balances every d1 column and col // s^2 every pair code z_i*s + z_j."""
@@ -200,13 +202,22 @@ def _column_checker(design: CoupledDesign):
 
 def croa_partition(d1, s: int) -> bool:
     """True iff every consecutive block of s^2 rows is completely resolvable
-    (consecutive-block convention)."""
+    (consecutive-block convention): each holds every pair code z_i*s + z_j
+    once, and each block of s rows every level once per column (one
+    unchecked kernel call each).  As when blocks were checked in turn,
+    entries above s-1 fail, and a negative one raises LevelOutOfRange
+    unless an earlier block fails."""
     m = np.asarray(d1, dtype=int)
-    n = m.shape[0]
+    n, q = m.shape
     if n % s**2:
         return False
-    blocks = n // s**2
-    return all(is_croa(m[b * s**2 : (b + 1) * s**2], s) for b in range(blocks))
+    negative = np.flatnonzero((m < 0).any(axis=1))
+    if negative.size and croa_partition(m[: negative[0] // s**2 * s**2], s):
+        raise LevelOutOfRange("matrix entries must be nonnegative")
+    if negative.size or not n or m.max() >= s:
+        return not n
+    i, j = np.triu_indices(q, 1)
+    return bool(_balanced(np.arange(n) // s**2, n // s**2, m[:, i] * s + m[:, j], s * s).all() and _balanced(np.arange(n) // s, n // s, m, s).all())
 
 
 def max_qualitative_factors(s: int) -> int:
@@ -276,8 +287,11 @@ def full_report(design: CoupledDesign, omega: int = 2) -> VerificationReport:
     """Everything at once: coupling at `omega`, the witness verdict (an
     order-2 property, so only set when omega >= 2, from the same pass's
     order-2 fields and the certificate balance), the consecutive-block
-    partition of d1, and the stratification survey."""
-    report = check_coupling(design, omega)
+    partition of d1, and the stratification survey.  A built design's kept
+    report is copied if at `omega`, while d1, d2, b and c are read-only."""
+    kept = design.witness.report if design.witness is not None else None
+    frozen = kept is not None and kept.omega_checked == omega and not any(a.flags.writeable for a in (design.d1, design.d2, design.witness.b, design.witness.c))
+    report = copy.deepcopy(kept) if frozen else check_coupling(design, omega)
     report.croa_partition = croa_partition(design.d1, design.s)
     if omega >= 2:
         _, _, balanced = _certificate(design)

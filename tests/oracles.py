@@ -5,13 +5,15 @@ expansion as they were written before the counting kernel
 (``arrays.balanced_columns``) replaced their per-column loops: one
 ``column_stack`` + ``is_orthogonal_array`` (or one ``grid_stratification``,
 the one-pair grid check the library once exported) per index tuple, and one
-``permutation`` call per level.  ``full_report`` assembles them as the
-library's report did when it ran the coupling and witness routes apart.
+``permutation`` call per level.  ``croa_partition`` is the one ``is_croa``
+call per block of s^2 rows that two whole-array kernel calls replaced.  ``full_report`` assembles them as the library's report did when
+it ran the coupling and witness routes apart.
 The two space-filling criteria are kept as they were before row blocking:
 one (n, n, p) tensor each.  The swap search is the one that rebuilt,
 re-expanded, re-verified and re-scored every column of every candidate
-through ``construct_from_plan`` and ``score``.  The bundle text is the standard library's
-indenting encoder, and the bundle matrix reader the per-entry type check it
+(and, under ``--shuffle-split``, re-split the inputs) through
+``construct_from_plan`` and ``score``.  The bundle text is the standard
+library's indenting encoder, and the bundle matrix reader the per-entry type check it
 had before its scans moved to C.  The differential tests hold the library
 routes to the reports, exceptions, random streams, criterion floats and
 bytes of these.
@@ -36,7 +38,7 @@ from dcdesign.errors import (
 from dcdesign.construct import _family_inputs, construct_from_plan, sample_family_plan
 from dcdesign.criteria import CRITERIA, TIE_TOLERANCE, best_index, score
 from dcdesign.rng import as_generator, derive_seed
-from dcdesign.verify import StratificationCheck, VerificationReport, croa_partition
+from dcdesign.verify import StratificationCheck, VerificationReport
 
 
 def _d1_is_oa(design):
@@ -173,6 +175,33 @@ def stratification_report(design):
                 continue
             report.stratification.append(StratificationCheck(i, j, gx, gy, ok))
     return report
+
+
+def is_croa(matrix, s):
+    """Completely resolvable check with the consecutive-block convention,
+    as the library exported it before croa_partition stopped calling it.
+
+    True iff the matrix is an orthogonal array of strength min(2, n_cols) at
+    s levels and every consecutive block of s rows contains each level
+    exactly once in every column.
+    """
+    m = as_matrix(matrix)
+    n, n_cols = m.shape
+    if n == 0 or n % s or (m.size and int(m.max()) >= s):
+        return False
+    if not is_orthogonal_array(m, s, min(2, n_cols)):
+        return False
+    blocks = m.reshape(n // s, s, n_cols)
+    return bool(np.all(np.sort(blocks, axis=1) == np.arange(s)[None, :, None]))
+
+
+def croa_partition(d1, s):
+    """One ``is_croa`` call per consecutive block of s^2 rows, in row order."""
+    m = np.asarray(d1, dtype=int)
+    n = m.shape[0]
+    if n % s**2:
+        return False
+    return all(is_croa(m[b * s**2 : (b + 1) * s**2], s) for b in range(n // s**2))
 
 
 def full_report(design, omega=2):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcdesign.arrays import (
-    is_croa,
     is_latin_hypercube,
     is_orthogonal_array,
     level_collapse,
@@ -24,7 +23,7 @@ from dcdesign.oabuild import full_factorial
 
 import refdesigns as ref
 from conftest import naive_oa_check
-from oracles import grid_stratification
+from oracles import grid_stratification, is_croa
 
 
 def test_reference_d1_is_strength2():

@@ -70,6 +70,13 @@ def test_missing_stored_omega_reads_as_two_and_zero_stays_zero(bundle):
     assert report_disagreement(data, design) == "condition_a"
 
 
+def test_negative_stored_omega_is_a_parse_error(bundle, tmp_path):
+    bundle["report"]["omega"] = -1
+    with pytest.raises(ParseError, match="omega"):
+        parse_bundle(bundle)
+    assert main(["verify", str(write(tmp_path, bundle))]) == 2
+
+
 def test_load_rejects_disagreeing_stored_report(bundle, tmp_path):
     bundle["report"]["passed"] = False
     with pytest.raises(ParseError, match="passed"):
@@ -241,6 +248,57 @@ def test_writer_matches_the_indenting_encoder(value):
 @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(3)], {"d2": [[0, np.int64(1)]]}])
 def test_writer_refuses_numpy_ints_like_the_encoder(value):
     assert written_bytes(value) is encoded_bytes(value) is TypeError
+
+
+WRITER_MATRICES = {
+    "fast": [[0, 5, 2], [7, 1, 3], [4, 8, 6]],
+    "fast-tuples": [(0, 1), (3, 2)],
+    "fast-ragged": [[0, 1, 2], [3], (4, 5)],
+    "fast-single": [[0]],
+    "negative": [[0, -1], [2, 3]],
+    "at-2^16": [[2**16, 0]] + [[1, 2]] * 3,
+    "past-int64": [[2**63, 0], [1, 2]],
+    "above-entry-count": [[0, 4], [1, 2]],
+    "bool": [[True, 0], [1, 2]],
+    "np-int64": [[np.int64(1), 0], [1, 2]],
+    "np-int64-row": [np.arange(2), [1, 2]],
+    "empty-row": [[0, 1], [], [2, 3]],
+    "empty-rows": [[], []],
+    "float": [[0.0, 1], [2, 3]],
+    "deeper": [[[0]], [1]],
+    "str": [["0", 1], [2, 3]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_MATRICES))
+def test_writer_matrix_fast_path_and_its_fallback_match_the_encoder(name):
+    """Matrices on both sides of the per-matrix decimal table: plain int rows
+    (lists or tuples, ragged or not) from 0 to below the entry count take it;
+    everything else takes the general path, and the bytes, or the exception
+    type, are the encoder's either way."""
+    rows = WRITER_MATRICES[name]
+    assert (bundle_module._decimal_table(rows) is not None) == name.startswith("fast")
+    for value in (rows, {"d2": rows, "witness": {"b": rows, "c": [rows]}}):
+        assert written_bytes(value) == encoded_bytes(value)
+
+
+fast_rows = st.lists(st.one_of(st.lists(st.integers(0, 9), min_size=1, max_size=4), st.tuples(st.integers(0, 9), st.integers(0, 9))), min_size=1, max_size=5)
+odd_entries = st.one_of(st.integers(-3, -1), st.integers(2**16, 2**16 + 2), st.sampled_from(ODD_INTS), st.booleans(), st.just(np.int64(2)), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(fast_rows, st.lists(st.tuples(st.integers(0, 99), st.one_of(odd_entries, st.just("drop-row"))), max_size=2))
+def test_writer_matches_the_encoder_around_the_fast_path(rows, edits):
+    rows = [list(row) if i % 2 else row for i, row in enumerate(rows)]
+    for at, edit in edits:
+        row = list(rows[at % len(rows)])
+        if isinstance(edit, str):
+            row = []
+        elif row:
+            row[at % len(row)] = edit
+        rows[at % len(rows)] = row
+    assert written_bytes(rows) == encoded_bytes(rows)
+    assert written_bytes({"d1": rows}) == encoded_bytes({"d1": rows})
 
 
 matrix_leaves = st.one_of(

@@ -190,6 +190,17 @@ def test_export_continuous_deterministic(tmp_path):
     assert all(0.0 <= v < 1.0 for v in values)
 
 
+def test_export_continuous_of_a_d2_that_is_not_a_latin_hypercube_is_an_error(tmp_path, capsys):
+    bundle = tmp_path / "d.json"
+    assert main(["generate", "--method", "c1", "--s", "3", "--lambda", "3", "--seed", "0", "-o", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    data["d2"][0][0] = data["d2"][1][0]
+    bundle.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["export", str(bundle), "--format", "csv", "--continuous", "-o", str(tmp_path / "x.csv")]) == 2
+    assert "error: input is not a Latin hypercube" in capsys.readouterr().err
+
+
 def test_env_seed_default(tmp_path, monkeypatch):
     monkeypatch.setenv("DCD_SEED", "13")
     a, b = tmp_path / "a.json", tmp_path / "b.json"

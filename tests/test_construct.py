@@ -349,9 +349,11 @@ def test_shuffled_split_is_drawn_per_seed(monkeypatch):
     from dcdesign.criteria import optimize_d2
 
     splits = count_calls(monkeypatch, construct, "split_strength3_inputs")
+    preconditions = count_calls(monkeypatch, construct, "_selection_inputs")
     fields = count_calls(monkeypatch, construct, "GaloisField")
     family = DesignFamily(method="c3-case1", s=5, q=2, p=3, shuffle_split=True)
     best, _ = optimize_d2(family, restarts=3, seed=2, swap_steps=2)
     assert len(fields) == 1
-    assert len(splits) == 3 * 3  # each restart's plan and both of its swap candidates
+    # one split and one precondition pass per restart: its swap candidates keep its seed
+    assert len(splits) == len(preconditions) == 3
     assert check_projections(best).passed

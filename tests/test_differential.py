@@ -39,14 +39,25 @@ FAMILIES = {
 }
 
 
+# every method: the four above and c3-custom on explicit pool and companion arrays
+DESIGNS = sorted(FAMILIES) + ["c3-custom-s3"]
+
+
+def built_family(name: str) -> DesignFamily:
+    if name == "c3-custom-s3":
+        a, b = selection_inputs("regular-s3u3")
+        return DesignFamily(method="c3-custom", s=3, q=3, p=4, a=a, b=b)
+    return DesignFamily(**FAMILIES[name])
+
+
 @functools.lru_cache(maxsize=None)
 def family_design(name: str, seed: int) -> CoupledDesign:
-    return build_design(DesignFamily(**FAMILIES[name]), seed)
+    return build_design(built_family(name), seed)
 
 
 @st.composite
 def mutated_designs(draw):
-    base = family_design(draw(st.sampled_from(sorted(FAMILIES))), draw(st.integers(0, 3)))
+    base = family_design(draw(st.sampled_from(DESIGNS)), draw(st.integers(0, 3)))
     d1, d2 = base.d1.copy(), base.d2.copy()
     n, s = base.n, base.s
     for _ in range(draw(st.integers(0, 3))):
@@ -88,6 +99,80 @@ def test_verification_routes_match_loop_oracles(design):
     assert outcome(verify.stratification_report, design) == outcome(oracles.stratification_report, design)
     for omega in range(min(design.q, 3) + 1):
         assert outcome(verify.full_report, design, omega) == outcome(oracles.full_report, design, omega)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", DESIGNS)
+def test_kept_report_equals_a_fresh_pass_and_the_oracle(name, seed):
+    """full_report on a built design (reusing its construction's report
+    where omega matches) equals full_report on writeable copies of its
+    arrays and the oracle, at every omega; the kept report is not changed,
+    not even by edits to the report full_report returns."""
+    design = family_design(name, seed)
+    kept = repr(design.witness.report)
+    copied = CoupledDesign(design.d1.copy(), design.d2.copy(), design.s)
+    for omega in range(min(design.q, 3) + 1):
+        got = outcome(verify.full_report, design, omega)
+        assert got == outcome(verify.full_report, copied, omega) == outcome(oracles.full_report, copied, omega)
+    verify.full_report(design, min(2, design.q)).condition_a_failures.append((0, 0))
+    assert repr(design.witness.report) == kept
+
+
+@pytest.mark.parametrize("array", ["d1", "d2", "b", "c"])
+def test_built_design_arrays_are_read_only(array):
+    design = build_design(built_family("c1-s3"), 0)
+    owner = design.witness if array in ("b", "c") else design
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(owner, array)[0, 0] = 1
+
+
+def test_built_arrays_share_no_memory_with_the_plan():
+    """With lam=1 the replicated method's b was a reshaped view of the
+    plan's b_cells, which a read-only flag on the view does not protect."""
+    design = build_design(DesignFamily(method="c2", s=3, q=2, p=2, lam=1), 0)
+    for array in (design.d1, design.d2, design.witness.b, design.witness.c):
+        assert not any(np.shares_memory(array, f) for f in design.witness.plan.fields().values())
+
+
+@pytest.mark.parametrize("array", ["d1", "d2"])
+def test_an_unfrozen_edit_is_re_verified(array):
+    """Making an array writeable again drops the kept report: full_report
+    runs a fresh pass and reports the edit's failure as the oracle does."""
+    design = build_design(built_family("c1-s3"), 0)
+    edited = getattr(design, array)
+    edited.setflags(write=True)
+    edited[0, 0] = (edited[0, 0] + 1) % design.s if array == "d1" else edited[1, 0]
+    report = verify.full_report(design)
+    assert not report.passed and not (report.d1_is_oa if array == "d1" else report.d2_is_lh)
+    assert repr(report) == repr(oracles.full_report(design))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_designs(), st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1, -7, 0, 1]), st.booleans()), max_size=3), st.integers(0, 2))
+def test_block_partition_matches_the_per_block_oracle(design, edits, trim):
+    """Two whole-array kernel calls give the per-block loop's verdict, or
+    raise what it raises, with in-range edits, negative entries, entries of
+    s and above (offset by s), and row counts that s^2 does not divide."""
+    d1 = design.d1.copy()
+    n, q = d1.shape
+    for r, value, above in edits:
+        d1[r % n, (r // n) % q] = value + design.s * above if value >= 0 else value
+    d1 = d1[: n - trim]
+    assert outcome(verify.croa_partition, d1, design.s) == outcome(oracles.croa_partition, d1, design.s)
+
+
+def test_block_partition_and_certificate_take_two_kernel_calls_each(monkeypatch):
+    """However many blocks of s^2 rows (lam) and quantitative columns."""
+    kernel = count_calls(monkeypatch, verify, "balanced_columns")
+    count_calls(monkeypatch, verify, "_balanced", kernel)
+    for lam, p in ((1, 2), (3, 3), (2, 6)):
+        design = build_design(DesignFamily(method="c1", s=3, q=3, p=p, lam=lam), 0)
+        kernel.clear()
+        assert verify.croa_partition(design.d1, design.s)
+        assert len(kernel) == 2
+        kernel.clear()
+        assert verify._certificate(design)[2]
+        assert len(kernel) == 2
 
 
 def test_higher_order_failures_match_oracle():
@@ -193,24 +278,28 @@ def count_calls(monkeypatch, module, name, calls=None):
 
 def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch):
     """The coupling routes make one kernel call per qualitative factor
-    subset, however many quantitative columns there are, and full_report
-    makes one order-2 pass (no witness_decomposition call) and the same
-    number of orthogonal-array checks at p=9 and p=18.  The pairwise
-    stratification survey makes at most one kernel call per (grid, column),
-    never one per column pair, and only its first call goes through the
-    kernel's range-checked entry point."""
+    subset, however many quantitative columns there are.  full_report makes
+    one order-2 pass (no witness_decomposition call), and none on a built
+    design, whose construction's pass it reuses; the block partition and
+    the certificate balance take two kernel calls each, and the only
+    orthogonal-array check left is the coupling pass's one on d1, at p=9 and
+    p=18 alike.  The pairwise stratification survey makes at most one kernel
+    call per (grid, column), never one per column pair, and only its first
+    call goes through the kernel's range-checked entry point."""
     import dcdesign.arrays
 
     kernel = count_calls(monkeypatch, verify, "balanced_columns")
     count_calls(monkeypatch, verify, "_balanced", kernel)
     oa_checks = count_calls(monkeypatch, verify, "is_orthogonal_array")
-    oa_checks_in_arrays = count_calls(monkeypatch, dcdesign.arrays, "is_orthogonal_array")
+    count_calls(monkeypatch, dcdesign.arrays, "is_orthogonal_array", oa_checks)
     witness = count_calls(monkeypatch, verify, "witness_decomposition")
+    coupling_passes = count_calls(monkeypatch, verify, "check_coupling")
     q = 3
-    coupling, survey, report_oa_checks = [], [], []
+    coupling, survey = [], []
     for p in (9, 18):
         design = build_design(DesignFamily(method="c3-case2", s=3, q=q, p=p, u=4), seed=0)
-        for calls in (kernel, oa_checks, oa_checks_in_arrays):
+        copied = CoupledDesign(design.d1.copy(), design.d2.copy(), design.s)
+        for calls in (kernel, oa_checks, coupling_passes):
             calls.clear()
         verify.check_coupling(design, 2)
         coupling.append(len(kernel))
@@ -218,20 +307,34 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
         verify.stratification_report(design)
         survey.append(len(kernel))
         assert kernel.count("balanced_columns") == 1
-        kernel.clear()
-        oa_checks.clear()
-        oa_checks_in_arrays.clear()
+        for calls in (kernel, oa_checks, coupling_passes):
+            calls.clear()
         assert verify.full_report(design, omega=2).passed
-        assert len(kernel) == coupling[-1] + survey[-1]
-        report_oa_checks.append(len(oa_checks) + len(oa_checks_in_arrays))
+        assert len(kernel) == survey[-1] + 2 + 2
+        assert not oa_checks and not coupling_passes
+        assert verify.full_report(copied, omega=2).passed
+        assert len(kernel) == 2 * (survey[-1] + 2 + 2) + coupling[-1]
+        assert len(oa_checks) == len(coupling_passes) == 1
     assert coupling == [q + q * (q - 1) // 2] * 2
     assert not witness
-    assert report_oa_checks[0] == report_oa_checks[1]
     # n=81: the first pair pass over b (b is not of strength 2), then the
     # s^2 x s and s x s^2 grids, one call per column each, and the s x s
     # grid only for the columns with a pair that fails both finer grids
     assert survey == [21, 44]
     assert all(calls <= 1 + 3 * (p - 1) for calls, p in zip(survey, (9, 18)))
+
+
+def test_generate_makes_one_order2_coupling_pass(monkeypatch, tmp_path):
+    """dcd generate verifies at construction and reuses that report: one
+    check_coupling call in all, and no check_projections call."""
+    from dcdesign import cli
+
+    passes = count_calls(monkeypatch, construct, "check_coupling")
+    count_calls(monkeypatch, verify, "check_coupling", passes)
+    count_calls(monkeypatch, verify, "check_projections", passes)
+    argv = ["generate", "--method", "c3-case2", "--s", "3", "--u", "4", "--seed", "1", "-o", str(tmp_path / "g.json")]
+    assert cli.main(argv) == 0
+    assert passes == ["check_coupling"]
 
 
 @st.composite

@@ -42,10 +42,12 @@ def family_inputs(name):
 
 def restart_state(family, inputs, plan):
     """What _swap_climb keeps for a restart: the verified start design, its
-    expansion draws and its column checker."""
+    expansion draws, its column checker and the inputs resolved for its
+    seed."""
     design = construct_from_plan(family, inputs, plan)
     rng = criteria.as_generator(criteria.derive_seed(plan.seed, criteria._EXPAND_STREAM))
-    return design, list(criteria._expansion_draws(design.d2 // design.s, rng)), verify._column_checker(design)
+    seeded = construct.METHODS[family.method].seeded(family, inputs, plan.seed)
+    return design, list(criteria._expansion_draws(design.d2 // design.s, rng)), verify._column_checker(design), seeded
 
 
 def swapped(plan, cell_pick, i, j):
@@ -70,11 +72,11 @@ def test_every_column_local_step_equals_a_full_rebuild(name, seed, moves):
     float."""
     family, inputs = family_inputs(name)
     plan = sample_family_plan(family, seed)
-    design, draws, check = restart_state(family, inputs, plan)
+    design, draws, check, seeded = restart_state(family, inputs, plan)
     pairs = criteria._PairSums(design.d2)
     for cell_pick, i, j, accept in moves:
         trial, moved = swapped(plan, cell_pick, i, j)
-        got, changed = criteria._column_local(family, inputs, design, draws, check, trial)
+        got, changed = criteria._column_local(family, seeded, design, draws, check, trial)
         want = construct_from_plan(family, inputs, trial)
         assert np.array_equal(got.d2, want.d2) and np.array_equal(got.d1, want.d1)
         assert np.array_equal(got.witness.b, want.witness.b) and np.array_equal(got.witness.c, want.witness.c)
@@ -199,16 +201,19 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_steps_verify_each_changed_column_and_nothing_else(monkeypatch):
-    """Full construction, expansion and verification run once per restart;
-    each step (every one changes one column here) makes exactly the two
-    kernel calls of the column check."""
-    projections = count_calls(monkeypatch, construct, "check_projections")
+    """Full construction, expansion and verification (one order-2
+    check_coupling pass) run once per restart; each step (every one changes
+    one column here) makes exactly the two kernel calls of the column
+    check."""
+    coupling = count_calls(monkeypatch, construct, "check_coupling")
+    projections = count_calls(monkeypatch, verify, "check_projections")
     expansions = count_calls(monkeypatch, construct, "level_expand")
     oa_checks = count_calls(monkeypatch, verify, "is_orthogonal_array")
     kernel = count_calls(monkeypatch, verify, "_balanced")
     restarts, steps = 2, 15
     optimize_d2(DesignFamily(**FAMILIES["c1"]), "maximin", restarts=restarts, seed=2, swap_steps=steps)
-    assert len(projections) == len(expansions) == len(oa_checks) == restarts
+    assert len(coupling) == len(expansions) == len(oa_checks) == restarts
+    assert not projections
     assert len(kernel) == 2 * restarts * steps
 
 
