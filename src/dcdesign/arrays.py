@@ -2,6 +2,10 @@
 the balance-counting kernel behind every coupling check and stratification
 count, and level collapse and expansion.
 
+The kernel counts over a column-major (p, n) array, a block of columns at a
+time within ``BLOCK_ENTRIES`` scratch entries, so each column's counts stay
+in cache; ``balanced_columns`` takes the (n, p) layout and range-checks.
+
 All structural checks use exact integer arithmetic; no tolerances exist here.
 Levels are always 0-indexed.
 """
@@ -16,6 +20,11 @@ import numpy as np
 
 from .errors import LevelOutOfRange, StrengthMismatch, UnbalancedColumn
 from .rng import as_generator
+
+# entries per block of a blocked kernel (512 KiB of 8-byte entries): each of
+# the balance kernel's flat block, offset keys and count table, and the
+# criteria's row blocks
+BLOCK_ENTRIES = 1 << 16
 
 
 def as_matrix(matrix) -> np.ndarray:
@@ -71,9 +80,8 @@ def is_orthogonal_array(matrix, levels, strength: int) -> bool:
 def balanced_columns(key, n_keys: int, y, n_levels: int) -> np.ndarray:
     """For every column of `y` at once: True iff each (key, value) cell,
     key in 0..n_keys-1 and value in 0..n_levels-1, holds n/(n_keys*n_levels)
-    rows (never when that is not an integer).  One bincount counts row r of
-    column k in cell k*n_keys*n_levels + key[r]*n_levels + y[r, k]; entries
-    outside their range raise LevelOutOfRange rather than alias.
+    rows (never when that is not an integer).  Entries outside their range
+    raise LevelOutOfRange rather than alias into a neighbouring cell.
     """
     key = np.asarray(key)
     y = np.asarray(y)
@@ -83,19 +91,27 @@ def balanced_columns(key, n_keys: int, y, n_levels: int) -> np.ndarray:
         raise LevelOutOfRange(f"key entries outside 0..{n_keys - 1}")
     if y.size and (y.min() < 0 or y.max() >= n_levels):
         raise LevelOutOfRange(f"column entries outside 0..{n_levels - 1}")
-    return _balanced(key, n_keys, y, n_levels)
+    return _balanced(key, n_keys, y.T, n_levels)
 
 
-def _balanced(key: np.ndarray, n_keys: int, y: np.ndarray, n_levels: int) -> np.ndarray:
-    """balanced_columns without its checks, for entries known to be in range."""
-    n, p = y.shape
+def _balanced(key: np.ndarray, n_keys: int, columns: np.ndarray, n_levels: int) -> np.ndarray:
+    """balanced_columns without its checks, for entries known to be in
+    range, over the column-major (p, n) `columns`: row k is column k.  Rows
+    are counted in blocks of at most BLOCK_ENTRIES entries (one row when n is
+    larger), one bincount per block, row k of a block in cells
+    k*n_keys*n_levels + key*n_levels + value, so the block, its offset keys
+    and its count table stay in cache."""
+    p, n = columns.shape
     cells = n_keys * n_levels
-    if n % cells:
-        return np.zeros(p, dtype=bool)
-    flat = y + cells * np.arange(p)
-    flat += (key * n_levels)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=cells * p).reshape(p, cells)
-    return (counts == n // cells).all(axis=1)
+    ok = np.zeros(p, dtype=bool)
+    rows = max(1, BLOCK_ENTRIES // max(n, cells))
+    flat = np.empty((min(rows, p), n), dtype=np.int64)
+    keys = key * n_levels + (cells * np.arange(len(flat)))[:, None]
+    for lo in range(0, p, rows):
+        block = flat[: min(rows, p - lo)]
+        np.add(columns[lo : lo + rows], keys[: len(block)], out=block)
+        ok[lo : lo + rows] = (np.bincount(block.ravel(), minlength=cells * len(block)).reshape(-1, cells) == n // cells).all(axis=1)
+    return ok
 
 
 def is_latin_hypercube(matrix) -> bool:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import OrthogonalArray, balanced_columns, is_orthogonal_array, level_expand, make_oa
+from .arrays import OrthogonalArray, _balanced, is_orthogonal_array, level_expand, make_oa
 from .design import CoupledDesign, DesignWitness, PermutationPlan
 from .errors import (
     CellNotPermutation,
@@ -194,8 +194,8 @@ def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
     p = b.n_cols
     if b.n_rows != n:
         raise DimensionMismatch(f"pool has {n} rows but companion has {b.n_rows}")
-    if n % s**2:
-        raise DimensionMismatch(f"{n} rows not divisible by {s}^2")
+    if not n or n % s**2:
+        raise DimensionMismatch(f"{n} rows not a positive multiple of {s}^2")
     if p and set(b.levels) != {n // s**2}:
         raise DimensionMismatch(f"companion columns must have {n // s**2} levels")
     select = tuple(int(i) for i in select)
@@ -203,10 +203,14 @@ def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
         raise DimensionMismatch(f"select must name {a.n_cols - 1} distinct pool columns")
     if any(i < 0 or i >= a.n_cols for i in select):
         raise DimensionMismatch("select index out of range")
-    if p and (a.matrix.min() < 0 or a.matrix.max() >= s):
+    if a.matrix.size and (a.matrix.min() < 0 or a.matrix.max() >= s):
         raise LevelOutOfRange(f"pool entries outside 0..{s - 1}")
+    # range-checked once here, the companion serves every pair's kernel call
+    companion = np.ascontiguousarray(b.matrix.T)
+    if companion.size and (companion.min() < 0 or companion.max() >= n // s**2):
+        raise LevelOutOfRange(f"column entries outside 0..{n // s**2 - 1}")
     for i, j in itertools.combinations(range(a.n_cols), 2):
-        ok = balanced_columns(a.matrix[:, i] * s + a.matrix[:, j], s * s, b.matrix, n // s**2)
+        ok = _balanced(a.matrix[:, i] * s + a.matrix[:, j], s * s, companion, n // s**2)
         if not ok.all():
             raise PreconditionFailed(f"triple (a{i}, a{j}, b{int(np.argmin(ok))}) is not fully balanced")
     return a, b, select

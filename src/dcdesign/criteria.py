@@ -6,10 +6,10 @@ centered L2 discrepancy is returned squared, as produced by its closed-form
 double sum.  Ties within 1e-12 are broken toward the earlier candidate, so a
 fixed seed reproduces results bit for bit.
 
-Both criteria run over row blocks of at most ``BLOCK_ENTRIES`` scratch
-floats, never over an (n, n, p) tensor, and return the same float, bit for
-bit, as the direct tensor formulas (kept as test oracles) on C-ordered
-``d2``, the layout the library builds and loads:
+Both criteria run over row blocks of at most ``arrays.BLOCK_ENTRIES``
+scratch floats, never over an (n, n, p) tensor, and return the same float,
+bit for bit, as the direct tensor formulas (kept as test oracles) on
+C-ordered ``d2``, the layout the library builds and loads:
 
 - maximin takes, per row block, the squared distances to later rows only,
   summing each pair's p squares as ``sum(axis=-1)`` does over a C-ordered
@@ -42,16 +42,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import _expand_column, _expansion_draws
+from .arrays import BLOCK_ENTRIES, _expand_column, _expansion_draws
 from .construct import _EXPAND_STREAM, METHODS, DesignFamily, _family_inputs, _finish, sample_family_plan
 from .design import CoupledDesign, DesignWitness
 from .rng import as_generator, derive_seed
 from .verify import _column_checker
 
 TIE_TOLERANCE = 1e-12
-
-# scratch floats per row block of a criterion kernel (512 KiB of float64)
-BLOCK_ENTRIES = 1 << 16
 
 CRITERIA = {
     "maximin": "maximize",

@@ -2,7 +2,9 @@
 
 One counting kernel, ``arrays.balanced_columns``, decides every coupling
 condition: it asks whether a qualitative key balances against all p
-collapsed columns at once.  Three public entry points put it to use:
+collapsed columns at once.  It counts over column-major arrays, which each
+pass here builds once (d2.T or d1.T, then the collapses and pair codes
+derived from it).  Three public entry points put it to use:
 
 - ``check_coupling`` slices rows per level combination and, for coupling
   order omega, demands that every slice's collapsed quantitative values form
@@ -111,16 +113,17 @@ def check_coupling(design: CoupledDesign, omega: int = 2) -> VerificationReport:
     report.d1_is_oa = _d1_is_oa(design)
     failures = {1: report.condition_a_failures, 2: report.condition_b_failures}
     failures.update({level: report.higher_order_failures for level in range(3, omega + 1)})
+    collapsed = np.ascontiguousarray(design.d2.T)
     for level in range(1, omega + 1):
         runs = n // s**level
-        collapsed = design.d2 // s**level
+        collapsed = collapsed // s
         # each slice is a permutation of 0..runs-1 iff every (slice, value)
         # cell holds one row; values past runs-1 fail their column outright
-        in_range = (collapsed < runs).all(axis=0)
+        in_range = (collapsed < runs).all(axis=1)
         clipped = np.minimum(collapsed, runs - 1)
         for cols in itertools.combinations(range(q), level):
             keys = np.ravel_multi_index(tuple(design.d1[:, c] for c in cols), (s,) * level)
-            ok = in_range & balanced_columns(keys, s**level, clipped, runs)
+            ok = in_range & balanced_columns(keys, s**level, clipped.T, runs)
             failures[level] += _failing(ok, cols if level <= 2 else (cols,))
     report.condition_a = not report.condition_a_failures
     if omega >= 2:
@@ -159,10 +162,10 @@ def _certificate(design: CoupledDesign):
     and every column of c each of its s values, equally often.  A d2 entry
     of n or more puts b out of range and raises LevelOutOfRange."""
     n, s = design.n, design.s
-    b, c = np.divmod(design.d2 // s, s)
+    b, c = np.divmod(np.ascontiguousarray(design.d2.T) // s, s)
     one_key = np.zeros(n, dtype=int)
-    balanced = not design.p or (balanced_columns(one_key, 1, b, n // s**2).all() and _balanced(one_key, 1, c, s).all())
-    return b, c, balanced
+    balanced = not design.p or (balanced_columns(one_key, 1, b.T, n // s**2).all() and _balanced(one_key, 1, c, s).all())
+    return b.T, c.T, balanced
 
 
 def witness_decomposition(design: CoupledDesign):
@@ -187,9 +190,9 @@ def _column_checker(design: CoupledDesign):
     RuntimeError construction raises unless col // s == certificate, col is
     a permutation of 0..n-1, and (one unchecked kernel call each) col // s
     balances every d1 column and col // s^2 every pair code z_i*s + z_j."""
-    n, s, z = design.n, design.s, design.d1
+    n, s, z = design.n, design.s, np.ascontiguousarray(design.d1.T)
     i, j = np.triu_indices(design.q, 1)
-    codes, rows = z[:, i] * s + z[:, j], np.arange(n)
+    codes, rows = z[i] * s + z[j], np.arange(n)
 
     def check(col: np.ndarray, certificate: np.ndarray) -> None:
         if not np.array_equal(col // s, certificate):
@@ -217,7 +220,8 @@ def croa_partition(d1, s: int) -> bool:
     if negative.size or not n or m.max() >= s:
         return not n
     i, j = np.triu_indices(q, 1)
-    return bool(_balanced(np.arange(n) // s**2, n // s**2, m[:, i] * s + m[:, j], s * s).all() and _balanced(np.arange(n) // s, n // s, m, s).all())
+    m = np.ascontiguousarray(m.T)
+    return bool(_balanced(np.arange(n) // s**2, n // s**2, m[i] * s + m[j], s * s).all() and _balanced(np.arange(n) // s, n // s, m, s).all())
 
 
 def max_qualitative_factors(s: int) -> int:
@@ -246,23 +250,24 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
     report = VerificationReport(n=n, s=s, q=design.q, p=p)
     if p < 2 or n % s**2:
         return report
-    b = design.d2 // s**2
+    once = np.ascontiguousarray(design.d2.T) // s
+    b = once // s
     g = n // s**2
 
     def pairs_balanced(x, gx, y, gy, first=0):
         """Per column i < p-1 from `first` on: whether each pair (i, j > i)
         balances."""
-        return (_balanced(x[:, i], gx, y[:, i + 1 :], gy) for i in range(first, p - 1))
+        return (_balanced(x[i], gx, y[i + 1 :], gy) for i in range(first, p - 1))
 
     # the one range-checked call (column 0 against the rest) covers every
     # column of b, and so of d2 and of each collapse of it below
-    b_strength2 = g >= 2 and balanced_columns(b[:, 0], g, b[:, 1:], g).all() and all(ok.all() for ok in pairs_balanced(b, g, b, g, 1))
+    b_strength2 = g >= 2 and balanced_columns(b[0], g, b[1:].T, g).all() and all(ok.all() for ok in pairs_balanced(b, g, b, g, 1))
     grids, results = [], []
     if b_strength2:
         grids.append((g, g))
         results.append([np.ones(p - 1 - i, dtype=bool) for i in range(p - 1)])
     if g % s == 0:
-        once, lv_once = design.d2 // s, n // s
+        lv_once = n // s
         for gx, gy in ((s**2, s), (s, s**2)):
             grids.append((gx, gy))
             results.append(list(pairs_balanced(once // (lv_once // gx), gx, once // (lv_once // gy), gy)))
@@ -272,7 +277,7 @@ def stratification_report(design: CoupledDesign) -> VerificationReport:
             ok = ok_x | ok_y
             both_fail = np.flatnonzero(~ok)
             if both_fail.size:
-                ok[both_fail] = _balanced(coarse[:, i], s, coarse[:, i + 1 + both_fail], s)
+                ok[both_fail] = _balanced(coarse[i], s, coarse[i + 1 + both_fail], s)
             coarse_ok.append(ok)
         grids.append((s, s))
         results.append(coarse_ok)

@@ -7,7 +7,9 @@ expansion as they were written before the counting kernel
 the one-pair grid check the library once exported) per index tuple, and one
 ``permutation`` call per level.  ``croa_partition`` is the one ``is_croa``
 call per block of s^2 rows that two whole-array kernel calls replaced.  ``full_report`` assembles them as the library's report did when
-it ran the coupling and witness routes apart.
+it ran the coupling and witness routes apart.  ``balanced_columns`` is the
+kernel itself as one tally per column, with no blocks and no layout, and
+``grid_stratification`` counts through it.
 The two space-filling criteria are kept as they were before row blocking:
 one (n, n, p) tensor each.  The swap search is the one that rebuilt,
 re-expanded, re-verified and re-scored every column of every candidate
@@ -21,11 +23,12 @@ bytes of these.
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
-from dcdesign.arrays import as_matrix, balanced_columns, is_latin_hypercube, is_orthogonal_array
+from dcdesign.arrays import as_matrix, is_latin_hypercube, is_orthogonal_array
 from dcdesign.errors import (
     LevelOutOfRange,
     NonDivisibleGrid,
@@ -133,6 +136,24 @@ def witness_decomposition(design):
     report.condition_b = not report.condition_b_failures
     report.witness_check = balanced and report.passed
     return b, c, report
+
+
+def balanced_columns(key, n_keys, y, n_levels):
+    """The balance kernel as one (key, value) tally per column, with the
+    checks and exceptions of its public entry point."""
+    key, y = np.asarray(key), np.asarray(y)
+    if key.shape != (y.shape[0],) or n_keys < 1 or n_levels < 1:
+        raise ValueError("need one key per row and positive counts")
+    if key.size and (key.min() < 0 or key.max() >= n_keys):
+        raise LevelOutOfRange("key entries outside range")
+    if y.size and (y.min() < 0 or y.max() >= n_levels):
+        raise LevelOutOfRange("column entries outside range")
+    n, cells = len(key), n_keys * n_levels
+    out = []
+    for k in range(y.shape[1]):
+        tally = Counter(zip(key.tolist(), y[:, k].tolist()))
+        out.append(n % cells == 0 and all(tally[a, v] == n // cells for a in range(n_keys) for v in range(n_levels)))
+    return np.array(out, dtype=bool)
 
 
 def grid_stratification(x, y, lx, ly, gx, gy):

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcdesign import arrays
 from dcdesign.arrays import (
     is_latin_hypercube,
     is_orthogonal_array,
@@ -111,6 +113,25 @@ def test_collapsed_latin_hypercube_is_balanced(seed, n, cols):
     lh = np.column_stack([rng.permutation(n) for _ in range(cols)])
     for s in (d for d in (2, 3, 4) if n % d == 0):
         assert is_orthogonal_array(level_collapse(lh, s), n // s, 1)
+
+
+def test_balance_kernel_memory_is_one_block_of_scratch():
+    """At n=4096, p=128 a kernel call holds one block's flat entries and
+    offset keys and one count table, each of at most BLOCK_ENTRIES int64
+    entries, plus that table's comparison: under 1.8 MB, where the unblocked
+    flat array alone took 4 MB."""
+    n, p, n_keys, n_levels = 4096, 128, 8, 512
+    rng = np.random.default_rng(0)
+    key = np.arange(n) // n_levels
+    columns = rng.permuted(np.tile(np.arange(n_levels), (p, n_keys, 1)), axis=2).reshape(p, n)
+    tracemalloc.start()
+    try:
+        ok = arrays._balanced(key, n_keys, columns, n_levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak < (3 * 8 + 1) * arrays.BLOCK_ENTRIES + 16 * n < 8 * n * p // 2
 
 
 def test_continuous_two_interval_case():

@@ -16,6 +16,7 @@ from dcdesign.criteria import score
 from dcdesign.oabuild import load_oa, save_oa
 from dcdesign.rng import derive_seed
 
+import oracles
 import refdesigns as ref
 
 
@@ -36,6 +37,17 @@ def test_generate_and_verify_round_trip(tmp_path, capsys):
     assert design.n == 8 and design.q == 2 and design.p == 4
     assert data["metadata"]["method"] == "c3-case2"
     assert data["metadata"]["plan_digest"].startswith("sha256:")
+
+
+def test_generate_counts_the_achieved_stratifications(tmp_path, capsys):
+    """The printed count is the passing grids among all those tried, here
+    some but not all of them (441 of 459)."""
+    out = tmp_path / "d.json"
+    assert main(["generate", "--method", "c3-case2", "--s", "3", "--u", "4", "--seed", "5", "-o", str(out)]) == 0
+    checks = oracles.stratification_report(load_bundle(out)[0]).stratification
+    achieved = sum(c.passed for c in checks)
+    assert 0 < achieved < len(checks)
+    assert f"grid stratifications achieved: {achieved}/{len(checks)}\n" in capsys.readouterr().out
 
 
 def test_generate_minimal_four_run_design(tmp_path):

@@ -22,6 +22,7 @@ from dcdesign.errors import (
     CellNotPermutation,
     DimensionMismatch,
     InfeasibleParameters,
+    LevelOutOfRange,
     NotStrength3,
     PreconditionFailed,
     UTooSmall,
@@ -149,6 +150,17 @@ def test_selected_rejects_unbalanced_companion():
     bad = OrthogonalArray(a.matrix[:, [0]], (2,), 1)  # reusing a pool column breaks the triples
     with pytest.raises(PreconditionFailed):
         construct_c3(a, bad, select=(1, 2), plan=PermutationPlan(seed=0, c_perms=[np.arange(2)]))
+
+
+def test_selected_inputs_refuse_a_bad_pool_without_quantitative_columns_and_zero_rows():
+    a, _ = regular_inputs(GaloisField(2), 3)
+    pool = a.matrix.copy()
+    pool[0, 0] = 2
+    with pytest.raises(LevelOutOfRange):
+        construct_c3(OrthogonalArray(pool, a.levels, 2), OrthogonalArray(np.zeros((8, 0), dtype=int), (), 1), select=(1, 2), plan=PermutationPlan(seed=0, c_perms=np.zeros((0, 2), dtype=int)))
+    empty = OrthogonalArray(np.zeros((0, 3), dtype=int), (2, 2, 2), 2)
+    with pytest.raises(DimensionMismatch):
+        construct_c3(empty, OrthogonalArray(np.zeros((0, 0), dtype=int), (), 1), select=(1, 2), plan=PermutationPlan(seed=0, c_perms=np.zeros((0, 2), dtype=int)))
 
 
 def test_split_inputs_default_and_exhaustive():
@@ -338,7 +350,7 @@ def test_inputs_resolved_once_per_search(monkeypatch):
     from dcdesign.criteria import optimize_d2
 
     fields = count_calls(monkeypatch, construct, "GaloisField")
-    checks = count_calls(monkeypatch, construct, "balanced_columns")
+    checks = count_calls(monkeypatch, construct, "_balanced")
     optimize_d2(DesignFamily(method="c3-case2", s=2, q=2, p=4, u=3), restarts=3, seed=1, swap_steps=4)
     assert len(fields) == 1
     assert len(checks) == 3  # one precondition pass: one kernel call per pool pair, all 4 companion columns at once

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcdesign import construct, criteria, verify
+from dcdesign import arrays, construct, criteria, verify
 from dcdesign.arrays import OrthogonalArray, balanced_columns, level_expand
 from dcdesign.construct import DesignFamily, build_design, regular_inputs, split_strength3_inputs
 from dcdesign.design import CoupledDesign
@@ -225,6 +225,23 @@ def test_selection_precondition_matches_loop_oracle(kind, mutations):
     assert record(construct._selection_inputs, a, b, select) == record(oracles.selection_precondition, a, b)
 
 
+@pytest.mark.parametrize("kind", ["regular-s2u4", "regular-s3u3", "split-s4"])
+def test_selection_precondition_refuses_out_of_range_entries(kind):
+    """Pool entries outside 0..s-1 and companion entries outside
+    0..n/s^2-1 raise, as in the oracle, rather than count in a neighbouring
+    cell: the companion's one range check covers every pair's kernel call."""
+    a, b = selection_inputs(kind)
+    n, s = a.n_rows, a.levels[0]
+    for which, bad in (("pool", -1), ("pool", s), ("companion", -1), ("companion", n // s**2)):
+        pool, comp = a.matrix.copy(), b.matrix.copy()
+        (pool if which == "pool" else comp)[n - 1, -1] = bad
+        args = OrthogonalArray(pool, a.levels, 2), OrthogonalArray(comp, b.levels, 1)
+        with pytest.raises(LevelOutOfRange):
+            construct._selection_inputs(*args, tuple(range(1, a.n_cols)))
+        with pytest.raises(LevelOutOfRange):
+            oracles.selection_precondition(*args)
+
+
 @st.composite
 def balanced_matrices(draw):
     n = draw(st.integers(1, 48))
@@ -260,6 +277,66 @@ def test_kernel_range_checks_instead_of_aliasing(column):
     # a 2 in a 2-level column would alias into the next key's cell
     with pytest.raises(LevelOutOfRange):
         balanced_columns(np.array([0, 0, 1, 1]), 2, np.array(column)[:, None], 2)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Keys and (n, p) columns for the balance kernel, and a block budget.
+
+    Columns start balanced, every (key, value) cell holding `reps` rows, so
+    entries 0 and n_levels-1 occur; edits swap two entries of a column or
+    set one to a value from -1 to n_levels (out of range at both ends).  An
+    extra row leaves n % cells != 0; reps = 0 gives n = 0, and p may be 0.
+    Budgets give one column per block (n above the budget), a width that
+    need not divide p, and the module's default."""
+    n_keys, n_levels, reps, p = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = n_keys * n_levels
+    key = np.repeat(np.arange(n_keys), n_levels * reps)
+    y = np.array([np.concatenate([rng.permutation(np.repeat(np.arange(n_levels), reps)) for _ in range(n_keys)]) for _ in range(p)], dtype=int).reshape(p, len(key)).T.copy()
+    if draw(st.booleans()):
+        key, y = np.append(key, draw(st.integers(0, n_keys - 1))), np.vstack([y, rng.integers(0, n_levels, (1, p))])
+    n = len(key)
+    for _ in range(draw(st.integers(0, 3)) if n and p else 0):
+        r, r2, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))
+        if draw(st.booleans()):
+            y[[r, r2], k] = y[[r2, r], k]
+        else:
+            y[r, k] = draw(st.integers(-1, n_levels))
+    budget = draw(st.sampled_from([1, max(n, cells) * draw(st.integers(1, 4)), arrays.BLOCK_ENTRIES]))
+    return key, n_keys, y, n_levels, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_kernel_equals_per_column_loop_oracle(case):
+    """The checked entry point and, on in-range entries, the column-major
+    unchecked one give the loop oracle's verdicts or raise what it raises,
+    whatever the block budget."""
+    key, n_keys, y, n_levels, budget = case
+    expected = outcome(oracles.balanced_columns, key, n_keys, y, n_levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrays, "BLOCK_ENTRIES", budget)
+        assert outcome(balanced_columns, key, n_keys, y, n_levels) == expected
+        if expected is not LevelOutOfRange:
+            assert outcome(arrays._balanced, key, n_keys, np.ascontiguousarray(y.T), n_levels) == expected
+
+
+@pytest.mark.parametrize(
+    "key, n_keys, y, n_levels",
+    [
+        (np.zeros(3, dtype=int), 1, np.zeros((4, 2), dtype=int), 1),
+        (np.zeros(4, dtype=int), 0, np.zeros((4, 2), dtype=int), 1),
+        (np.zeros(4, dtype=int), 1, np.zeros((4, 2), dtype=int), 0),
+        (np.zeros((4, 1), dtype=int), 1, np.zeros((4, 2), dtype=int), 1),
+        (np.array([0, 1, 2, 0]), 2, np.zeros((4, 2), dtype=int), 1),
+        (np.zeros(4, dtype=int), 1, np.array([[0, 10**6]] * 4), 4),
+    ],
+)
+def test_kernel_raises_what_it_raised(key, n_keys, y, n_levels):
+    expected = outcome(oracles.balanced_columns, key, n_keys, y, n_levels)
+    assert expected in (ValueError, LevelOutOfRange)
+    assert outcome(balanced_columns, key, n_keys, y, n_levels) == expected
 
 
 def count_calls(monkeypatch, module, name, calls=None):
