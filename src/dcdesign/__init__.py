@@ -16,13 +16,7 @@ from .arrays import (
 from .construct import (
     DesignFamily,
     build_design,
-    construct_c1,
-    construct_c2,
-    construct_c3,
     regular_inputs,
-    sample_plan_replicated,
-    sample_plan_selected,
-    sample_plan_stacked,
     split_strength3_inputs,
 )
 from .criteria import CriterionScore, centered_l2_discrepancy, maximin_distance, optimize_d2
@@ -38,7 +32,6 @@ from .verify import (
     full_report,
     max_qualitative_factors,
     stratification_report,
-    witness_decomposition,
 )
 
 __all__ = [
@@ -55,9 +48,6 @@ __all__ = [
     "centered_l2_discrepancy",
     "check_coupling",
     "check_projections",
-    "construct_c1",
-    "construct_c2",
-    "construct_c3",
     "croa_partition",
     "derive_seed",
     "full_factorial",
@@ -74,12 +64,8 @@ __all__ = [
     "normalize_block_form",
     "optimize_d2",
     "regular_inputs",
-    "sample_plan_replicated",
-    "sample_plan_selected",
-    "sample_plan_stacked",
     "save_oa",
     "split_strength3_inputs",
     "stratification_report",
     "to_continuous",
-    "witness_decomposition",
 ]

@@ -100,10 +100,13 @@ def _balanced(key: np.ndarray, n_keys: int, columns: np.ndarray, n_levels: int) 
     are counted in blocks of at most BLOCK_ENTRIES entries (one row when n is
     larger), one bincount per block, row k of a block in cells
     k*n_keys*n_levels + key*n_levels + value, so the block, its offset keys
-    and its count table stay in cache."""
+    and its count table stay in cache.  When the cells cannot hold n rows
+    equally, every column fails uncounted."""
     p, n = columns.shape
     cells = n_keys * n_levels
     ok = np.zeros(p, dtype=bool)
+    if n % cells:
+        return ok
     rows = max(1, BLOCK_ENTRIES // max(n, cells))
     flat = np.empty((min(rows, p), n), dtype=np.int64)
     keys = key * n_levels + (cells * np.arange(len(flat)))[:, None]
@@ -196,9 +199,6 @@ class OrthogonalArray:
     @property
     def n_cols(self) -> int:
         return self.matrix.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
 
 def make_oa(matrix, levels=None, strength: int = 2) -> OrthogonalArray:

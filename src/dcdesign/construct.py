@@ -1,30 +1,21 @@
 """Constructions of doubly coupled designs.
 
-Three routes produce a design (d1, d2) together with its certificate
-arrays (b, c), where collapse(d2, s) = s*b + c:
+``build_design(family, seed, plan)`` is the one way to build a design
+(d1, d2) with its certificate arrays (b, c), where collapse(d2, s) = s*b + c.
+``METHODS`` maps each command-line method name to its route's steps:
+feasibility check, default p, input arrays and their per-seed part, plan
+sampler and assembly.  The routes (c1, c2 and the three c3 input sources)
+are described at their entries.
 
-- ``construct_c1`` stacks lam strength-2 arrays OA(s^2, q+1, s, 2) given in
-  block form, drops the block column to get d1, and builds b from one
-  slice permutation per quantitative column and c from per-slice level
-  permutations;
-- ``construct_c2`` stacks lam copies of a single array and instead
-  randomizes b cell-wise: for each of the s^2 base rows, the lam stacked
-  entries form a permutation of 0..lam-1;
-- ``construct_c3`` starts from a column pool A = OA(n, q+1, s, 2) and a
-  companion array B = OA(n, p, n/s^2, 1) whose (a_i, a_j, b_k) triples are
-  all fully balanced, selects q columns of A as d1, and derives c by level
-  permutations of the leftover column.
-
-Input generators for the third route: ``split_strength3_inputs`` splits a
+Input generators for the c3 routes: ``split_strength3_inputs`` splits a
 strength-3 array column-wise, ``regular_inputs`` builds the pool from
 linear columns over GF(s) for any prime power s (see the functions for the
-canonical column order).
+canonical column order).  Both satisfy the c3 triple precondition by the
+paper's theorems, so only a user-supplied pool and companion (c3-custom)
+are checked for it.
 
-Every constructor verifies its output once (``check_coupling`` at order
-min(2, q)) and returns it read-only, keeping that report for ``full_report``.
-
-``METHODS`` maps each command-line method name to its steps: feasibility
-check, default p, input arrays and their per-seed part, plan sampler and assembly.
+Every design is verified once (``check_coupling`` at order min(2, q)) and
+returned read-only, keeping that report for ``full_report``.
 ``build_design`` and ``optimize_d2`` resolve a family's inputs once per call
 through ``_family_inputs``; each plan then only validates, assembles and expands.
 """
@@ -97,33 +88,6 @@ def _finish(d1, b, c, s, plan) -> CoupledDesign:
     return design
 
 
-def _permutations(rng, shape: tuple, size: int) -> np.ndarray:
-    """Array of shape (*shape, size) filled in row-major order with one
-    rng.permutation(size) per vector along the last axis (one permuted call
-    draws them alike)."""
-    return rng.permuted(np.tile(np.arange(size), (*shape, 1)), axis=-1)
-
-
-def sample_plan_stacked(s: int, lam: int, p: int, seed: int = 0) -> PermutationPlan:
-    """Random plan for construct_c1."""
-    rng = as_generator(derive_seed(seed, 0))
-    v = _permutations(rng, (p,), lam)
-    return PermutationPlan(seed=seed, v=v, w=_permutations(rng, (p, lam), s))
-
-
-def sample_plan_replicated(s: int, lam: int, p: int, seed: int = 0) -> PermutationPlan:
-    """Random plan for construct_c2."""
-    rng = as_generator(derive_seed(seed, 0))
-    b_cells = _permutations(rng, (s * s, p), lam)
-    return PermutationPlan(seed=seed, b_cells=b_cells, w=_permutations(rng, (p,), s))
-
-
-def sample_plan_selected(s: int, p: int, seed: int = 0) -> PermutationPlan:
-    """Random plan for construct_c3."""
-    rng = as_generator(derive_seed(seed, 0))
-    return PermutationPlan(seed=seed, c_perms=_permutations(rng, (p,), s))
-
-
 def _stacked_inputs(arrays) -> list[OrthogonalArray]:
     if len(arrays) < 1:
         raise DimensionMismatch("need at least one input array")
@@ -147,21 +111,6 @@ def _assemble_stacked(arrays, p: int, plan: PermutationPlan) -> tuple:
     return d1, b, c, s
 
 
-def construct_c1(arrays, p: int, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
-    """Stack lam block-form arrays OA(s^2, q+1, s, 2) and permute.
-
-    d1 drops the shared block column.  Column k of b repeats plan.v[k]
-    (a permutation of the lam slices) s^2 times each; column k of c stacks
-    plan.w[k, j] (a level permutation per slice) repeated s times.  The
-    quantitative design expands s*b + c.  Arrays may be identical or not;
-    different ones can raise the strength of d1.
-    """
-    arrays = _stacked_inputs(arrays)
-    if plan is None:
-        plan = sample_plan_stacked(arrays[0].levels[-1], len(arrays), p, seed)
-    return _finish(*_assemble_stacked(arrays, p, plan), plan)
-
-
 def _assemble_replicated(a: OrthogonalArray, lam: int, p: int, plan: PermutationPlan) -> tuple:
     s = a.levels[-1]
     cells = _plan_perms(plan.b_cells, (s * s, p, lam), "b cell")
@@ -170,22 +119,6 @@ def _assemble_replicated(a: OrthogonalArray, lam: int, p: int, plan: Permutation
     b = cells.transpose(2, 0, 1).reshape(lam * s * s, p).copy()
     c = np.tile(np.repeat(w.T, s, axis=0), (lam, 1))
     return d1, b, c, s
-
-
-def construct_c2(array: OrthogonalArray, lam: int, p: int, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
-    """Stack lam copies of one block-form array OA(s^2, q+1, s, 2).
-
-    b is assembled cell-wise: entry (i + j*s^2, k) is plan.b_cells[i, k, j],
-    and each cell vector plan.b_cells[i, k, :] must be a permutation of
-    0..lam-1.  Column k of c tiles one level permutation plan.w[k] across
-    all copies.
-    """
-    (a,) = _stacked_inputs([array])
-    if lam < 1:
-        raise DimensionMismatch(f"need lam >= 1, got {lam}")
-    if plan is None:
-        plan = sample_plan_replicated(a.levels[-1], lam, p, seed)
-    return _finish(*_assemble_replicated(a, lam, p, plan), plan)
 
 
 def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
@@ -205,6 +138,14 @@ def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
         raise DimensionMismatch("select index out of range")
     if a.matrix.size and (a.matrix.min() < 0 or a.matrix.max() >= s):
         raise LevelOutOfRange(f"pool entries outside 0..{s - 1}")
+    return a, b, select
+
+
+def _check_triples(a: OrthogonalArray, b: OrthogonalArray) -> None:
+    """The c3 precondition for a pool and companion that passed
+    _selection_inputs: every (a_i, a_j, b_k) triple over distinct pool
+    columns is fully balanced, one kernel call per pool pair."""
+    s, n = a.levels[0], a.n_rows
     # range-checked once here, the companion serves every pair's kernel call
     companion = np.ascontiguousarray(b.matrix.T)
     if companion.size and (companion.min() < 0 or companion.max() >= n // s**2):
@@ -213,10 +154,10 @@ def _selection_inputs(a: OrthogonalArray, b: OrthogonalArray, select) -> tuple:
         ok = _balanced(a.matrix[:, i] * s + a.matrix[:, j], s * s, companion, n // s**2)
         if not ok.all():
             raise PreconditionFailed(f"triple (a{i}, a{j}, b{int(np.argmin(ok))}) is not fully balanced")
-    return a, b, select
 
 
-def _assemble_selected(a: OrthogonalArray, b: OrthogonalArray, select: tuple, plan: PermutationPlan) -> tuple:
+def _assemble_selected(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> tuple:
+    a, b, select = inputs
     s = a.levels[0]
     c_perms = _plan_perms(plan.c_perms, (b.n_cols, s), "level permutation")
     (astar_index,) = set(range(a.n_cols)) - set(select)
@@ -224,31 +165,20 @@ def _assemble_selected(a: OrthogonalArray, b: OrthogonalArray, select: tuple, pl
     return a.matrix[:, list(select)], b.matrix.copy(), c, s
 
 
-def construct_c3(a: OrthogonalArray, b: OrthogonalArray, select, plan: PermutationPlan | None = None, *, seed: int = 0) -> CoupledDesign:
-    """Select q columns of the pool A as d1 and permute the leftover column.
-
-    Requires that every (a_i, a_j, b_k) triple over distinct pool columns is
-    fully balanced at strength 3 (checked, not assumed).  Column k of c
-    applies plan.c_perms[k] to the levels of the one unselected pool column;
-    the quantitative design expands s*b + c.
-    """
-    a, b, select = _selection_inputs(a, b, select)
-    if plan is None:
-        plan = sample_plan_selected(a.levels[0], b.n_cols, seed)
-    return _finish(*_assemble_selected(a, b, select, plan), plan)
-
-
 def split_strength3_inputs(g: OrthogonalArray, q: int, rng=None, shuffle: bool = False):
     """Split a strength-3 array OA(s^3, m, s, 3) column-wise into a pool of
     q+1 columns and a companion of the remaining m-q-1 columns.
 
     Any three distinct columns of g are fully balanced, so the pair
-    automatically satisfies the construct_c3 precondition.  The default
-    split takes the first q+1 columns; pass shuffle=True for a random one.
+    satisfies the c3 triple precondition unchecked; that needs every column
+    at s levels.  The default split takes the first q+1 columns; pass
+    shuffle=True for a random one.
     """
     s = g.levels[0]
     if g.strength < 3 or not is_orthogonal_array(g.matrix, g.levels, 3):
         raise NotStrength3("input array must have verified strength 3")
+    if set(g.levels) != {s}:
+        raise DimensionMismatch(f"strength-3 array columns must all have {s} levels")
     if g.n_rows != s**3:
         raise DimensionMismatch(f"expected {s**3} rows, got {g.n_rows}")
     m = g.n_cols
@@ -400,7 +330,8 @@ def _stacked_family_inputs(family: DesignFamily) -> list[OrthogonalArray]:
 
 def _c3_inputs(family: DesignFamily, a: OrthogonalArray, b: OrthogonalArray, first: int) -> tuple:
     """Pool, companion cut to p columns and selection (by default the q
-    pool columns from `first` on), validated by _selection_inputs."""
+    pool columns from `first` on), validated by _selection_inputs but not
+    checked for the triple precondition."""
     if family.p < b.n_cols:
         b = OrthogonalArray(b.matrix[:, : family.p], b.levels[: family.p], 1)
     select = family.select if family.select is not None else tuple(range(first, first + family.q))
@@ -424,12 +355,23 @@ def _regular_family_inputs(family: DesignFamily) -> tuple:
     return _c3_inputs(family, pool, b, 1)
 
 
-def _sample_selected(family: DesignFamily, seed: int) -> PermutationPlan:
-    return sample_plan_selected(family.s, family.p, seed)
+def _sample(seed: int, **fields) -> PermutationPlan:
+    """A random plan: each field, given as name=(shape, size) and drawn in
+    that order from one stream of `seed`, has shape (*shape, size), filled
+    in row-major order with one rng.permutation(size) per vector along the
+    last axis (one permuted call draws them alike)."""
+    rng = as_generator(derive_seed(seed, 0))
+    return PermutationPlan(seed=seed, **{name: rng.permuted(np.tile(np.arange(size), (*shape, 1)), axis=-1) for name, (shape, size) in fields.items()})
 
 
-def _assemble_c3(family: DesignFamily, inputs: tuple, plan: PermutationPlan) -> tuple:
-    return _assemble_selected(*inputs, plan)
+def _sample_selected(f: DesignFamily, seed: int) -> PermutationPlan:
+    return _sample(seed, c_perms=((f.p,), f.s))
+
+
+def _custom_inputs(family: DesignFamily) -> tuple:
+    a, b, select = _c3_inputs(family, family.a, family.b, 1)
+    _check_triples(a, b)
+    return a, b, select
 
 
 @dataclass(frozen=True)
@@ -449,38 +391,54 @@ class Method:
 
 
 METHODS = {
+    # Stack lam block-form arrays OA(s^2, q+1, s, 2) and drop the shared
+    # block column to get d1 (distinct arrays can raise its strength).
+    # Column k of b repeats plan.v[k], a permutation of the lam slices, s^2
+    # times each; column k of c stacks plan.w[k, j], a level permutation per
+    # slice, each level repeated s times.
     "c1": Method(
         check=_check_stacked,
         inputs=_stacked_family_inputs,
-        sample=lambda f, seed: sample_plan_stacked(f.s, f.lam, f.p, seed),
+        sample=lambda f, seed: _sample(seed, v=((f.p,), f.lam), w=((f.p, f.lam), f.s)),
         assemble=lambda f, arrays, plan: _assemble_stacked(arrays, f.p, plan),
     ),
+    # Stack lam copies of one block-form array; b is randomized cell-wise:
+    # entry (i + j*s^2, k) is plan.b_cells[i, k, j], each cell vector a
+    # permutation of 0..lam-1.  Column k of c tiles one level permutation
+    # plan.w[k] across all copies.
     "c2": Method(
         check=_check_stacked,
         inputs=lambda f: _stacked_inputs(f.arrays[:1] if f.arrays else [_default_block_array(f.s, f.q)]),
-        sample=lambda f, seed: sample_plan_replicated(f.s, f.lam, f.p, seed),
+        sample=lambda f, seed: _sample(seed, b_cells=((f.s * f.s, f.p), f.lam), w=((f.p,), f.s)),
         assemble=lambda f, arrays, plan: _assemble_replicated(arrays[0], f.lam, f.p, plan),
     ),
+    # The c3 routes select q columns of a pool A = OA(n, q+1, s, 2) as d1,
+    # take b from a companion B = OA(n, p, n/s^2, 1) whose (a_i, a_j, b_k)
+    # triples are all fully balanced, and column k of c applies
+    # plan.c_perms[k] to the levels of the one unselected pool column.
+    # c3-case1 splits a strength-3 array (split_strength3_inputs).
     "c3-case1": Method(
         check=_check_split,
         inputs=_split_family_inputs,
         sample=_sample_selected,
-        assemble=_assemble_c3,
+        assemble=_assemble_selected,
         default_p=lambda f: max(_split_width(f) - f.q - 1, 0),
         seeded=lambda f, g, seed: _split(f, g, seed) if f.shuffle_split else g,
     ),
+    # c3-case2 takes the linear-column pool and companion (regular_inputs).
     "c3-case2": Method(
         check=_check_regular,
         inputs=_regular_family_inputs,
         sample=_sample_selected,
-        assemble=_assemble_c3,
+        assemble=_assemble_selected,
         default_p=lambda f: (f.u - 2) * f.s**2,
     ),
+    # c3-custom takes a user's pool and companion and checks their triples.
     "c3-custom": Method(
         check=_check_custom,
-        inputs=lambda f: _c3_inputs(f, f.a, f.b, 1),
+        inputs=_custom_inputs,
         sample=_sample_selected,
-        assemble=_assemble_c3,
+        assemble=_assemble_selected,
         default_p=lambda f: f.b.n_cols if f.b is not None else 0,
     ),
 }
@@ -520,7 +478,10 @@ def construct_from_plan(family: DesignFamily, inputs, plan: PermutationPlan) -> 
     return _finish(*method.assemble(family, method.seeded(family, inputs, plan.seed), plan), plan)
 
 
-def build_design(family: DesignFamily, seed: int = 0) -> CoupledDesign:
-    """Sample a plan from `seed` and run the family's construction."""
+def build_design(family: DesignFamily, seed: int = 0, plan: PermutationPlan | None = None) -> CoupledDesign:
+    """Run the family's construction with `plan`, or with a plan sampled
+    from `seed` when none is given.  The plan's own seed drives the level
+    expansion (and a shuffled split), so explicit plans reproduce
+    reference designs exactly."""
     inputs = _family_inputs(family)
-    return construct_from_plan(family, inputs, sample_family_plan(family, seed))
+    return construct_from_plan(family, inputs, plan if plan is not None else sample_family_plan(family, seed))

@@ -278,10 +278,14 @@ def optimize_d2(
         raise ValueError(f"unknown criterion {criterion!r}; choose from {sorted(CRITERIA)}")
 
     inputs = _family_inputs(family)
-    results = []
+    winner, best, trajectory = None, None, []
     for r in range(restarts):
         child = derive_seed(seed, r)
         plan = sample_family_plan(family, child)
-        results.append(_swap_climb(family, inputs, plan, criterion, swap_steps, as_generator(derive_seed(child, 3))))
-    trajectory = [best for _, best in results]
-    return results[best_index(trajectory, CRITERIA[criterion])][0], trajectory
+        design, value = _swap_climb(family, inputs, plan, criterion, swap_steps, as_generator(derive_seed(child, 3)))
+        # keep only the incumbent: in restart order this is best_index's pick
+        if winner is None or _improves(value, best, CRITERIA[criterion]):
+            winner, best = design, value
+        trajectory.append(value)
+        del design  # a losing design is freed before the next restart
+    return winner, trajectory

@@ -15,10 +15,10 @@ PLAN_FIELDS = ("v", "w", "b_cells", "c_perms")
 class PermutationPlan:
     """Explicit permutation choices for a construction.
 
-    The seed drives anything not given: unset fields are sampled, and the
-    level-expansion stream is always derived from it.  Set fields are int
-    arrays (lists are converted on construction), and which ones apply
-    depends on the construction:
+    The seed drives the level-expansion stream (and a shuffled split).  A
+    plan must set every field its construction needs, or building raises
+    DimensionMismatch.  Set fields are int arrays (lists are converted on
+    construction), and which ones apply depends on the construction:
 
     - stacked-array method: `v` of shape (p, lam), each row a permutation of
       0..lam-1, and `w` of shape (p, lam, s), each row a permutation of

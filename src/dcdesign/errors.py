@@ -25,10 +25,6 @@ class UnbalancedColumn(DesignError):
     """Column levels do not occur equally often."""
 
 
-class NonDivisibleGrid(DesignError):
-    """Grid cell count does not divide the column's level count."""
-
-
 class DimensionMismatch(DesignError):
     """Input arrays disagree on rows, columns, or levels."""
 

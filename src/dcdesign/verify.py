@@ -4,16 +4,14 @@ One counting kernel, ``arrays.balanced_columns``, decides every coupling
 condition: it asks whether a qualitative key balances against all p
 collapsed columns at once.  It counts over column-major arrays, which each
 pass here builds once (d2.T or d1.T, then the collapses and pair codes
-derived from it).  Three public entry points put it to use:
+derived from it).  Two public entry points put it to use:
 
 - ``check_coupling`` slices rows per level combination and, for coupling
   order omega, demands that every slice's collapsed quantitative values form
   a permutation (the definition, checked directly);
 - ``check_projections`` tests the equivalent order-2 projection conditions:
   every (qualitative, once-collapsed) pair balanced at strength 2, and every
-  (qualitative, qualitative, twice-collapsed) triple balanced at strength 3;
-- ``witness_decomposition`` adds the certificate pair (b, c) with
-  collapse(d2, s) == s*b + c to the projection report.
+  (qualitative, qualitative, twice-collapsed) triple balanced at strength 3.
 
 ``full_report`` makes one order-2 pass, through ``check_coupling``, or
 copies the report construction kept while the arrays stay read-only, and
@@ -156,32 +154,15 @@ def check_projections(design: CoupledDesign) -> VerificationReport:
     return report
 
 
-def _certificate(design: CoupledDesign):
-    """(b, c, balanced): the certificate arrays with collapse(d2, s) ==
-    s*b + c, and whether every column of b takes each of its n/s^2 values,
-    and every column of c each of its s values, equally often.  A d2 entry
-    of n or more puts b out of range and raises LevelOutOfRange."""
+def _certificate_balanced(design: CoupledDesign) -> bool:
+    """Whether the certificate arrays b, c with collapse(d2, s) == s*b + c
+    are balanced: every column of b takes each of its n/s^2 values, and
+    every column of c each of its s values, equally often.  A d2 entry of n
+    or more puts b out of range and raises LevelOutOfRange."""
     n, s = design.n, design.s
     b, c = np.divmod(np.ascontiguousarray(design.d2.T) // s, s)
     one_key = np.zeros(n, dtype=int)
-    balanced = not design.p or (balanced_columns(one_key, 1, b.T, n // s**2).all() and _balanced(one_key, 1, c, s).all())
-    return b.T, c.T, balanced
-
-
-def witness_decomposition(design: CoupledDesign):
-    """The projection report together with the certificate arrays.
-
-    Returns (b, c, report): b is the twice-collapsed design and c the
-    remainder, with collapse(d2, s) == s*b + c.  The report is
-    check_projections' one, with witness_check set when b and c are
-    balanced and every projection condition holds.  Condition (a) is the
-    certificate's (z_i, c_k, b_k) triple condition, since (c_k, b_k) numbers
-    the once-collapsed values one to one.
-    """
-    report = check_projections(design)
-    b, c, balanced = _certificate(design)
-    report.witness_check = balanced and report.passed
-    return b, c, report
+    return not design.p or bool(balanced_columns(one_key, 1, b.T, n // s**2).all() and _balanced(one_key, 1, c, s).all())
 
 
 def _column_checker(design: CoupledDesign):
@@ -299,8 +280,7 @@ def full_report(design: CoupledDesign, omega: int = 2) -> VerificationReport:
     report = copy.deepcopy(kept) if frozen else check_coupling(design, omega)
     report.croa_partition = croa_partition(design.d1, design.s)
     if omega >= 2:
-        _, _, balanced = _certificate(design)
         order2 = (report.d1_is_oa, report.d2_is_lh, report.condition_a, report.condition_b)
-        report.witness_check = balanced and all(order2)
+        report.witness_check = _certificate_balanced(design) and all(order2)
     report.stratification = stratification_report(design).stratification
     return report

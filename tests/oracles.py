@@ -30,8 +30,8 @@ import numpy as np
 
 from dcdesign.arrays import as_matrix, is_latin_hypercube, is_orthogonal_array
 from dcdesign.errors import (
+    DesignError,
     LevelOutOfRange,
-    NonDivisibleGrid,
     OmegaExceedsQ,
     ParseError,
     PreconditionFailed,
@@ -42,6 +42,10 @@ from dcdesign.construct import _family_inputs, construct_from_plan, sample_famil
 from dcdesign.criteria import CRITERIA, TIE_TOLERANCE, best_index, score
 from dcdesign.rng import as_generator, derive_seed
 from dcdesign.verify import StratificationCheck, VerificationReport
+
+
+class NonDivisibleGrid(DesignError):
+    """Grid cell count does not divide the column's level count."""
 
 
 def _d1_is_oa(design):

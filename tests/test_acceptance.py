@@ -14,17 +14,12 @@ import pytest
 from dcdesign.arrays import (
     is_orthogonal_array,
     level_collapse,
-    make_oa,
 )
 from dcdesign.cli import main
 from dcdesign.construct import (
     DesignFamily,
     build_design,
-    construct_c1,
-    construct_c2,
-    construct_c3,
     regular_inputs,
-    sample_plan_selected,
 )
 from dcdesign.design import CoupledDesign, PermutationPlan
 from dcdesign.gf import GaloisField
@@ -35,13 +30,12 @@ from dcdesign.verify import (
     croa_partition,
     full_report,
     stratification_report,
-    witness_decomposition,
 )
 
 import refdesigns as ref
 from conftest import naive_oa_check
 from oracles import grid_stratification
-from test_construct import reference_replicated_plan, reference_stacked_plan, stacked_arrays
+from test_construct import reference_replicated_plan, reference_stacked_plan, replicated_family, stacked_family
 from test_gf import axioms_hold
 
 
@@ -68,7 +62,7 @@ def test_counterexamples_split_the_two_conditions():
 
 
 def test_stacked_construction_reproduces_27run_reference():
-    design = construct_c1(stacked_arrays(), 3, reference_stacked_plan())
+    design = build_design(stacked_family(), plan=reference_stacked_plan())
     assert np.array_equal(design.witness.b, ref.B_27RUN_STACKED)
     assert np.array_equal(design.witness.c, ref.C_27RUN_STACKED)
     assert np.array_equal(3 * design.witness.b + design.witness.c, ref.D2_27RUN_STACKED // 3)
@@ -78,8 +72,7 @@ def test_stacked_construction_reproduces_27run_reference():
 
 
 def test_replicated_construction_reproduces_27run_reference():
-    a1 = make_oa(ref.A1_9RUN, 3, 2)
-    design = construct_c2(a1, 3, 3, reference_replicated_plan())
+    design = build_design(replicated_family(), plan=reference_replicated_plan())
     assert np.array_equal(design.witness.b, ref.B_27RUN_REPLICATED)
     assert np.array_equal(3 * design.witness.b + design.witness.c, ref.D2_27RUN_REPLICATED // 3)
     cells = reference_replicated_plan().b_cells
@@ -95,7 +88,7 @@ def test_regular_8run_inputs_and_design_match_reference():
     assert np.array_equal(a.matrix, ref.A_8RUN_POOL)
     assert np.array_equal(b.matrix, ref.B_8RUN_COMPANION)
     plan = PermutationPlan(seed=0, c_perms=[np.arange(2)] * 4)
-    design = construct_c3(a, b, select=(1, 2), plan=plan)
+    design = build_design(DesignFamily(method="c3-case2", s=2, q=2, p=4, u=3), plan=plan)
     assert np.array_equal((design.d2 // 2)[:, 0], [0, 0, 3, 3, 2, 2, 1, 1])
     report = stratification_report(design)
     two_by_two = [c for c in report.stratification if (c.grid_x, c.grid_y) == (2, 2)]
@@ -150,7 +143,7 @@ def test_verification_routes_agree_on_randomized_designs():
     for design in designs:
         a = check_coupling(design, 2).passed
         b = check_projections(design).passed
-        c = witness_decomposition(design)[2].witness_check
+        c = full_report(design, 2).witness_check
         assert a == b == c == True  # noqa: E712
         assert croa_partition(design.d1, design.s)
     _pass("200 randomized designs: all three verification routes agree and every d1 partitions into resolvable blocks")
@@ -206,9 +199,8 @@ def test_split_and_regular_outputs_achieve_grid_stratification():
         once = design.d2 // 3
         assert grid_stratification(once[:, 0], once[:, 1], 9, 9, 9, 3)
         assert grid_stratification(once[:, 0], once[:, 1], 9, 9, 3, 9)
-    a, b = regular_inputs(GaloisField(3), 4)
     for seed in range(20):
-        design = construct_c3(a, b, select=(1, 2, 3), plan=sample_plan_selected(3, b.n_cols, seed=seed))
+        design = build_design(DesignFamily(method="c3-case2", s=3, q=3, p=18, u=4), seed)
         twice = design.d2 // 9
         for i, j in itertools.combinations(range(design.p), 2):
             if i // 2 == j // 2:

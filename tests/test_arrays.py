@@ -17,7 +17,6 @@ from dcdesign.arrays import (
 )
 from dcdesign.errors import (
     LevelOutOfRange,
-    NonDivisibleGrid,
     StrengthMismatch,
     UnbalancedColumn,
 )
@@ -25,7 +24,7 @@ from dcdesign.oabuild import full_factorial
 
 import refdesigns as ref
 from conftest import naive_oa_check
-from oracles import grid_stratification, is_croa
+from oracles import NonDivisibleGrid, grid_stratification, is_croa
 
 
 def test_reference_d1_is_strength2():
@@ -132,6 +131,15 @@ def test_balance_kernel_memory_is_one_block_of_scratch():
         tracemalloc.stop()
     assert ok.all()
     assert peak < (3 * 8 + 1) * arrays.BLOCK_ENTRIES + 16 * n < 8 * n * p // 2
+
+
+def test_kernel_fails_grids_that_cannot_balance_without_counting():
+    """2^20 x 2^20 cells over 8 rows: no cell can hold n/cells rows, so
+    every column fails at once, without a count table of 2^40 entries."""
+    key = np.zeros(8, dtype=int)
+    ok = arrays._balanced(key, 2**20, np.zeros((3, 8), dtype=int), 2**20)
+    assert ok.dtype == bool and ok.shape == (3,) and not ok.any()
+    assert not arrays.balanced_columns(key, 2**20, np.zeros((8, 3), dtype=int), 2**20).any()
 
 
 def test_continuous_two_interval_case():

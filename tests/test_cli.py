@@ -310,6 +310,23 @@ def test_custom_method_defaults_q_to_pool_width(tmp_path):
     assert design.q == 2
 
 
+def test_mixed_level_strength3_array_exits_two(tmp_path, capsys):
+    """OA(64, 5, (4,4,4,4,2), 3) has verified strength 3, but its 2-level
+    column cannot serve as a 4-level companion column: the split refuses it
+    before any construction."""
+    from dcdesign.arrays import make_oa
+    from dcdesign.gf import GaloisField
+    from dcdesign.oabuild import bush_oa
+
+    g = bush_oa(GaloisField(4), 3).matrix.copy()
+    g[:, 4] //= 2
+    g_path, out = tmp_path / "g.oa", tmp_path / "d.json"
+    save_oa(make_oa(g, (4, 4, 4, 4, 2), 3), g_path)
+    assert main(["generate", "--method", "c3-case1", "--s", "4", "--q", "2", "--g", str(g_path), "-o", str(out)]) == 2
+    assert "must all have 4 levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_rejects_extra_paths(tmp_path):
     d1_path, d2_path = write_reference_files(tmp_path)
     assert main(["verify", str(d1_path), str(d2_path), str(d2_path)]) == 2

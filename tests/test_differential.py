@@ -95,7 +95,6 @@ def test_verification_routes_match_loop_oracles(design):
     for omega in range(min(design.q, 3) + 1):
         assert outcome(verify.check_coupling, design, omega) == outcome(oracles.check_coupling, design, omega)
     assert outcome(verify.check_projections, design) == outcome(oracles.check_projections, design)
-    assert outcome(verify.witness_decomposition, design) == outcome(oracles.witness_decomposition, design)
     assert outcome(verify.stratification_report, design) == outcome(oracles.stratification_report, design)
     for omega in range(min(design.q, 3) + 1):
         assert outcome(verify.full_report, design, omega) == outcome(oracles.full_report, design, omega)
@@ -171,7 +170,7 @@ def test_block_partition_and_certificate_take_two_kernel_calls_each(monkeypatch)
         assert verify.croa_partition(design.d1, design.s)
         assert len(kernel) == 2
         kernel.clear()
-        assert verify._certificate(design)[2]
+        assert verify._certificate_balanced(design)
         assert len(kernel) == 2
 
 
@@ -182,6 +181,12 @@ def test_higher_order_failures_match_oracle():
     report = verify.check_coupling(design, 3)
     assert report.higher_order_failures
     assert repr(report) == repr(oracles.check_coupling(design, 3))
+
+
+def custom_family(a: OrthogonalArray, b: OrthogonalArray) -> DesignFamily:
+    """The c3-custom family of pool `a` and companion `b`, selecting every
+    pool column but the first: the one route that checks the precondition."""
+    return DesignFamily(method="c3-custom", s=a.levels[0], q=a.n_cols - 1, p=b.n_cols, a=a, b=b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,7 +218,6 @@ def test_selection_precondition_matches_loop_oracle(kind, mutations):
             comp[[row, (row + col) % n], k] = comp[[(row + col) % n, row], k]
     a = OrthogonalArray(pool, a.levels, 2)
     b = OrthogonalArray(comp, b.levels, 1)
-    select = tuple(range(1, a.n_cols))
 
     def record(fn, *args):
         try:
@@ -222,7 +226,7 @@ def test_selection_precondition_matches_loop_oracle(kind, mutations):
             return type(exc), str(exc)
         return None
 
-    assert record(construct._selection_inputs, a, b, select) == record(oracles.selection_precondition, a, b)
+    assert record(construct._family_inputs, custom_family(a, b)) == record(oracles.selection_precondition, a, b)
 
 
 @pytest.mark.parametrize("kind", ["regular-s2u4", "regular-s3u3", "split-s4"])
@@ -237,7 +241,7 @@ def test_selection_precondition_refuses_out_of_range_entries(kind):
         (pool if which == "pool" else comp)[n - 1, -1] = bad
         args = OrthogonalArray(pool, a.levels, 2), OrthogonalArray(comp, b.levels, 1)
         with pytest.raises(LevelOutOfRange):
-            construct._selection_inputs(*args, tuple(range(1, a.n_cols)))
+            construct._family_inputs(custom_family(*args))
         with pytest.raises(LevelOutOfRange):
             oracles.selection_precondition(*args)
 
@@ -356,7 +360,7 @@ def count_calls(monkeypatch, module, name, calls=None):
 def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch):
     """The coupling routes make one kernel call per qualitative factor
     subset, however many quantitative columns there are.  full_report makes
-    one order-2 pass (no witness_decomposition call), and none on a built
+    one order-2 pass, and none on a built
     design, whose construction's pass it reuses; the block partition and
     the certificate balance take two kernel calls each, and the only
     orthogonal-array check left is the coupling pass's one on d1, at p=9 and
@@ -369,7 +373,6 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
     count_calls(monkeypatch, verify, "_balanced", kernel)
     oa_checks = count_calls(monkeypatch, verify, "is_orthogonal_array")
     count_calls(monkeypatch, dcdesign.arrays, "is_orthogonal_array", oa_checks)
-    witness = count_calls(monkeypatch, verify, "witness_decomposition")
     coupling_passes = count_calls(monkeypatch, verify, "check_coupling")
     q = 3
     coupling, survey = [], []
@@ -393,7 +396,6 @@ def test_verification_op_count_scales_with_factor_pairs_not_columns(monkeypatch)
         assert len(kernel) == 2 * (survey[-1] + 2 + 2) + coupling[-1]
         assert len(oa_checks) == len(coupling_passes) == 1
     assert coupling == [q + q * (q - 1) // 2] * 2
-    assert not witness
     # n=81: the first pair pass over b (b is not of strength 2), then the
     # s^2 x s and s x s^2 grids, one call per column each, and the s x s
     # grid only for the columns with a pair that fails both finer grids

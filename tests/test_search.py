@@ -217,6 +217,25 @@ def test_steps_verify_each_changed_column_and_nothing_else(monkeypatch):
     assert len(kernel) == 2 * restarts * steps
 
 
+def test_restarts_keep_only_the_incumbent_design():
+    """Eight restarts hold at most one design more than one restart does,
+    not one per restart: the incumbent, with its plan and report, while the
+    next restart is built and scored.  Measured after a warm-up run, so
+    caches filled on first use count in neither peak."""
+    family = DesignFamily(method="c3-case2", s=5, q=5, p=50, u=4)
+    optimize_d2(family, "cl2", restarts=1, seed=0)
+    peaks = []
+    for restarts in (1, 8):
+        tracemalloc.start()
+        try:
+            design, _ = optimize_d2(family, "cl2", restarts=restarts, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    design_bytes = sum(a.nbytes for a in (design.d1, design.d2, design.witness.b, design.witness.c))
+    assert peaks[1] - peaks[0] < 2 * design_bytes
+
+
 def test_search_memory_is_the_pair_sums_and_block_scratch():
     """At n=1024 the two pair-sum vectors hold 8.4 MB; everything else the
     search holds at once stays within a few blocks of scratch, far below

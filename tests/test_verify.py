@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcdesign.arrays import level_expand, make_oa
-from dcdesign.construct import construct_c3, regular_inputs, sample_plan_selected
+from dcdesign.construct import DesignFamily, build_design, regular_inputs
 from dcdesign.design import CoupledDesign, PermutationPlan
 from dcdesign.errors import OmegaExceedsQ, RunSizeNotDivisible
 from dcdesign.gf import GaloisField
@@ -13,9 +13,9 @@ from dcdesign.verify import (
     full_report,
     max_qualitative_factors,
     stratification_report,
-    witness_decomposition,
 )
 
+import oracles
 import refdesigns as ref
 from oracles import grid_stratification
 
@@ -71,7 +71,7 @@ def test_three_routes_agree_on_counterexamples(single_only, pair_only):
         verdicts = {
             check_coupling(design, 2).passed,
             check_projections(design).passed,
-            witness_decomposition(design)[2].witness_check,
+            full_report(design, 2).witness_check,
         }
         assert verdicts == {False}
 
@@ -97,8 +97,8 @@ def test_croa_partition_on_references(design_27run_stacked):
 
 
 def test_witness_recovers_reference_certificate(design_8run):
-    b, c, report = witness_decomposition(design_8run)
-    assert report.witness_check
+    b, c, _ = oracles.witness_decomposition(design_8run)
+    assert full_report(design_8run, 2).witness_check
     assert np.array_equal(b, ref.D2_8RUN_TWICE)
     assert np.array_equal(b, ref.B_8RUN_COMPANION[:, [0, 1, 2, 3]])
     # every certificate column repeats the leftover pool column
@@ -107,14 +107,14 @@ def test_witness_recovers_reference_certificate(design_8run):
 
 
 def test_witness_recovers_stacked_certificate(design_27run_stacked):
-    b, c, report = witness_decomposition(design_27run_stacked)
-    assert report.witness_check
+    b, c, _ = oracles.witness_decomposition(design_27run_stacked)
+    assert full_report(design_27run_stacked, 2).witness_check
     assert np.array_equal(b, ref.B_27RUN_STACKED)
     assert np.array_equal(c, ref.C_27RUN_STACKED)
 
 
 def test_witness_reports_offending_triple(single_only):
-    _, _, report = witness_decomposition(single_only)
+    report = full_report(single_only, 2)
     assert not report.witness_check
     assert report.condition_b_failures
 
@@ -126,8 +126,7 @@ def test_qualitative_factor_bound():
 
 
 def test_bound_attained_for_five_levels():
-    a, b = regular_inputs(GaloisField(5), 3)
-    design = construct_c3(a, b, select=(1, 2, 3, 4, 5), plan=sample_plan_selected(5, 25, seed=1))
+    design = build_design(DesignFamily(method="c3-case2", s=5, q=5, p=25, u=3), 1)
     assert design.q == 5
     assert check_projections(design).passed
 
@@ -142,13 +141,12 @@ def test_stratification_reference_pairs_all_two_by_two(design_8run):
 def test_stratification_single_column_is_empty():
     a, b = regular_inputs(GaloisField(2), 3)
     plan = PermutationPlan(seed=0, c_perms=[np.arange(2)])
-    single = construct_c3(a, make_oa(b.matrix[:, :1], 2, 1), select=(1, 2), plan=plan)
+    single = build_design(DesignFamily(method="c3-custom", s=2, q=2, p=1, a=a, b=make_oa(b.matrix[:, :1], 2, 1)), plan=plan)
     assert stratification_report(single).stratification == []
 
 
 def test_same_and_cross_group_grids_for_u4():
-    a, b = regular_inputs(GaloisField(3), 4)
-    design = construct_c3(a, b, select=(1, 2, 3), plan=sample_plan_selected(3, b.n_cols, seed=4))
+    design = build_design(DesignFamily(method="c3-case2", s=3, q=3, p=18, u=4), 4)
     twice = design.d2 // 9
     blocks = 4 - 2
     for i in range(design.p):
@@ -220,7 +218,7 @@ def test_routes_agree_when_expansion_is_degenerate(design_8run):
     degenerate = CoupledDesign(d1=ref.D1_8RUN.copy(), d2=2 * ref.D2_8RUN_ONCE, s=2)
     a = check_coupling(degenerate, 2)
     b = check_projections(degenerate)
-    c = witness_decomposition(degenerate)[2]
+    c = full_report(degenerate, 2)
     assert a.passed == b.passed == c.witness_check == False  # noqa: E712
     assert a.d2_is_lh is False and b.d2_is_lh is False
     assert b.condition_a and b.condition_b
@@ -235,5 +233,5 @@ def test_routes_agree_on_random_mutations(design_8run):
         design.d2[[i, j], k] = design.d2[[j, i], k]
         a = check_coupling(design, 2).passed
         b = check_projections(design).passed
-        c = witness_decomposition(design)[2].witness_check
+        c = full_report(design, 2).witness_check
         assert a == b == c
