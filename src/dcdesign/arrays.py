@@ -37,6 +37,17 @@ def as_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _matrix_text(m: np.ndarray, sep: str) -> list[str]:
+    """Each row of the 2-D integer array `m` as its entries in decimal,
+    joined by `sep`: read from a table of the decimals of min..max when that
+    range holds fewer values than `m` has entries, else one str each."""
+    low, high = (int(m.min()), int(m.max())) if m.size else (0, 0)
+    if high - low + 1 < m.size:
+        digits = list(map(str, range(low, high + 1))).__getitem__
+        return [sep.join(map(digits, row.tolist())) for row in m - low]
+    return [sep.join(map(str, row.tolist())) for row in m]
+
+
 def _column_levels(levels, n_cols: int) -> tuple[int, ...]:
     if np.isscalar(levels):
         return (int(levels),) * n_cols

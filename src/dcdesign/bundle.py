@@ -3,9 +3,10 @@
 A bundle stores the design matrices as exact integer row arrays (no floats),
 the certificate arrays when present, the verification summary it was saved
 with, and enough metadata to regenerate it: method, parameters, seed, a
-digest of the permutation plan, and the tool version.  Loading re-verifies;
-a bundle whose stored summary disagrees with re-verification, or whose stored
-witness is not the certificate of its d2, is rejected.
+digest of the permutation plan, and the tool version; in memory its four
+matrices are integer ndarrays.  Loading re-verifies; a bundle whose stored
+summary disagrees with re-verification on any key, or whose stored witness
+is not the certificate of its d2, is rejected.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .arrays import _matrix_text
 from .design import CoupledDesign, DesignWitness, PermutationPlan
 from .errors import ParseError
 from .verify import VerificationReport, full_report
@@ -70,33 +72,32 @@ def design_to_bundle(
         "format": FORMAT,
         "metadata": metadata,
         "s": design.s,
-        "d1": design.d1.tolist(),
-        "d2": design.d2.tolist(),
+        "d1": design.d1,
+        "d2": design.d2,
         "witness": None,
         "report": report_summary(report),
     }
     if design.witness is not None:
-        bundle["witness"] = {"b": design.witness.b.tolist(), "c": design.witness.c.tolist()}
+        bundle["witness"] = {"b": design.witness.b, "c": design.witness.c}
     return bundle
-
-
-def _decimal_table(rows):
-    """[str(0), ..., str(top)] for non-empty list or tuple rows of plain ints
-    0..top, top below the entry count, else None; one type and range scan."""
-    if set(map(type, rows)) <= {list, tuple} and all(rows) and set(map(type, itertools.chain.from_iterable(rows))) == {int}:
-        top = max(map(max, rows))
-        if min(map(min, rows)) >= 0 and top < sum(map(len, rows)):
-            return list(map(str, range(top + 1)))
-    return None
 
 
 def _indented(value, pad: str, out: list) -> None:
     """Append `value` as `json.dumps(value, indent=2, sort_keys=True)` lays
-    it out at indentation `pad`.  A list of plain ints is one join (`type(x)
-    is int`, so True still reads true), and so is each row of a matrix that
-    _decimal_table accepts, from that table; keys and every other scalar or
-    empty container go through `json.dumps`, which keeps its escaping, NaN
-    and Infinity, and its TypeError on non-JSON types."""
+    it out at indentation `pad`.  A 2-D integer ndarray with entries is
+    written as its `tolist()`, row by row through `_matrix_text`; keys and
+    every other scalar or empty container go through `json.dumps`, which
+    keeps its escaping, NaN and Infinity, and its TypeError on non-JSON
+    types, other ndarrays and numpy scalars among them."""
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+        if value.size:
+            inner = pad + "  "
+            head, tail = "[\n" + inner + "  ", "\n" + inner + "]"
+            out.append("[\n" + inner + head)
+            out.append((tail + ",\n" + inner + head).join(_matrix_text(value, ",\n" + inner + "  ")))
+            out.append(tail + "\n" + pad + "]")
+            return
+        value = value.tolist()  # [] or rows of []
     if not isinstance(value, (dict, list, tuple)) or not value:
         out.append(json.dumps(value))
         return
@@ -109,14 +110,6 @@ def _indented(value, pad: str, out: list) -> None:
             out.append(("" if index == 0 else sep) + json.dumps({key: None})[1:-7] + ": ")
             _indented(item, inner, out)
         out.append("\n" + pad + "}")
-    elif set(map(type, value)) == {int}:
-        out.append("[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + pad + "]")
-    elif (digits := _decimal_table(value)) is not None:
-        head, entry_sep = "[\n" + inner, sep + "  "
-        for row in value:
-            out.append(head + "[\n" + inner + "  " + entry_sep.join(map(digits.__getitem__, row)) + "\n" + inner + "]")
-            head = sep
-        out.append("\n" + pad + "]")
     else:
         out.append("[\n" + inner)
         for index, item in enumerate(value):
@@ -128,8 +121,9 @@ def _indented(value, pad: str, out: list) -> None:
 
 def save_bundle(bundle: dict, path) -> None:
     """Write `json.dumps(bundle, indent=2, sort_keys=True)` and a newline,
-    byte for byte, without the standard library's pure-Python indenting
-    encoder, one piece at a time rather than as one joined string."""
+    byte for byte, each 2-D integer ndarray read as its `tolist()`, without
+    the standard library's pure-Python indenting encoder, one piece at a
+    time rather than as one joined string."""
     out: list[str] = []
     _indented(bundle, "", out)
     out.append("\n")
@@ -157,6 +151,8 @@ def _int_matrix(rows, name: str) -> np.ndarray:
 
 
 def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
+    """The design a loaded bundle holds, and the bundle with its four
+    matrices as the parsed arrays and every other value as loaded."""
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} bundle")
     try:
@@ -177,7 +173,10 @@ def parse_bundle(data: dict) -> tuple[CoupledDesign, dict]:
     report = data.get("report", {})
     if not isinstance(report, dict) or not (report.get("omega") is None or (type(report["omega"]) is int and report["omega"] >= 0)):
         raise ParseError("bundle report must be an object with a nonnegative integer or null omega")
-    return CoupledDesign(d1=d1, d2=d2, s=s, witness=witness), data
+    parsed = {**data, "d1": d1, "d2": d2}
+    if witness is not None:
+        parsed["witness"] = {**data["witness"], "b": witness.b, "c": witness.c}
+    return CoupledDesign(d1=d1, d2=d2, s=s, witness=witness), parsed
 
 
 def report_disagreement(data: dict, design: CoupledDesign, report: VerificationReport | None = None) -> str | None:
@@ -190,9 +189,8 @@ def report_disagreement(data: dict, design: CoupledDesign, report: VerificationR
     omega = 2 if stored.get("omega") is None else stored["omega"]
     if report is None or report.omega_checked != omega:
         report = full_report(design, omega=omega)
-    fresh = report_summary(report)
-    for key in ("passed", "condition_a", "condition_b", "d2_is_lh"):
-        if stored.get(key) is not None and stored[key] != fresh[key]:
+    for key, value in report_summary(report).items():
+        if stored.get(key) is not None and stored[key] != value:
             return key
     if design.witness is not None:
         b, c = np.divmod(design.d2 // design.s, design.s)

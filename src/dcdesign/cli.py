@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .arrays import make_oa, to_continuous
+from .arrays import _matrix_text, make_oa, to_continuous
 from .bundle import design_to_bundle, load_bundle, report_disagreement, save_bundle
 from .construct import METHODS, DesignFamily, build_design
 from .criteria import CRITERIA, best_index, optimize_d2
@@ -186,23 +186,19 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     design, data = load_bundle(args.path, verify=False)
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         save_bundle(data, args.output)
-    elif fmt == "oa-text":
+    elif args.format == "oa-text":
         save_oa(make_oa(design.d1, design.s, min(2, design.q)), args.output)
     else:
-        header = [f"z{i + 1}" for i in range(design.q)] + [f"x{i + 1}" for i in range(design.p)]
-        lines = [",".join(header)]
+        header = ",".join([f"z{i + 1}" for i in range(design.q)] + [f"x{i + 1}" for i in range(design.p)])
         if args.continuous:
-            cont = to_continuous(design.d2, args.seed)
-            quant_rows = [[f"{v:.17g}" for v in row] for row in cont]
+            quant = [",".join([format(v, ".17g") for v in row]) for row in to_continuous(design.d2, args.seed).tolist()]
         else:
-            quant_rows = [[str(v) for v in row] for row in design.d2]
-        for i in range(design.n):
-            lines.append(",".join([str(v) for v in design.d1[i]] + quant_rows[i]))
+            quant = _matrix_text(design.d2, ",")
+        rows = [z + "," + x if x else z for z, x in zip(_matrix_text(design.d1, ","), quant)]
         with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([header, *rows]) + "\n")
     print(f"wrote {args.output}")
     return 0
 

@@ -37,9 +37,9 @@ from .errors import (
     DimensionMismatch,
     InfeasibleParameters,
     LevelOutOfRange,
-    NotBlockForm,
     NotStrength3,
     PreconditionFailed,
+    UnbalancedColumn,
     UTooSmall,
 )
 from .gf import MAX_ORDER, GaloisField, is_prime_power
@@ -68,10 +68,10 @@ def _plan_perms(field, shape: tuple, what: str) -> np.ndarray:
 def _block_form_input(a: OrthogonalArray) -> OrthogonalArray:
     if is_block_form(a.matrix, a.levels[-1]):
         return a
-    warnings.warn("input array reordered into block form", stacklevel=4)
+    warnings.warn("input array reordered into block form", stacklevel=6)  # at the caller of build_design or optimize_d2
     fixed = normalize_block_form(a)
     if not is_block_form(fixed.matrix, a.levels[-1]):
-        raise NotBlockForm("last column cannot be brought into consecutive block form")
+        raise UnbalancedColumn("last column cannot be brought into consecutive block form")
     return fixed
 
 
@@ -91,7 +91,7 @@ def _finish(d1, b, c, s, plan) -> CoupledDesign:
 def _stacked_inputs(arrays) -> list[OrthogonalArray]:
     if len(arrays) < 1:
         raise DimensionMismatch("need at least one input array")
-    arrays = [_block_form_input(a) for a in arrays]
+    arrays = list(map(_block_form_input, arrays))  # no comprehension frame on 3.11
     s = arrays[0].levels[-1]
     shape = (arrays[0].n_rows, arrays[0].n_cols)
     if any((a.n_rows, a.n_cols) != shape or a.levels != arrays[0].levels for a in arrays):
@@ -320,6 +320,8 @@ def _check_custom(family: DesignFamily) -> None:
         raise InfeasibleParameters("custom method needs explicit pool and companion arrays")
     if family.q + 1 != family.a.n_cols:
         raise InfeasibleParameters(f"pool has {family.a.n_cols} columns; q must be {family.a.n_cols - 1}")
+    if set(family.a.levels) != {family.s}:
+        raise InfeasibleParameters(f"pool columns have {'/'.join(map(str, sorted(set(family.a.levels))))} levels, not s={family.s}")
 
 
 def _stacked_family_inputs(family: DesignFamily) -> list[OrthogonalArray]:

@@ -29,14 +29,6 @@ class DimensionMismatch(DesignError):
     """Input arrays disagree on rows, columns, or levels."""
 
 
-class NotBlockForm(DesignError):
-    """Last column is not the consecutive block pattern."""
-
-
-class NotSquareRunSize(DesignError):
-    """Run size is not the square of the level count."""
-
-
 class CellNotPermutation(DesignError):
     """A plan cell is not a permutation of its required range."""
 

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import OrthogonalArray, as_matrix, make_oa
+from .arrays import OrthogonalArray, _matrix_text, as_matrix, make_oa
 from .errors import (
     AllZeroSpec,
-    NotSquareRunSize,
+    DimensionMismatch,
     ParseError,
     StrengthMismatch,
     StrengthUnsupported,
@@ -105,7 +105,7 @@ def normalize_block_form(a: OrthogonalArray) -> OrthogonalArray:
     pattern; the row multiset is unchanged."""
     s = a.levels[-1]
     if a.n_rows != s * s:
-        raise NotSquareRunSize(f"expected {s * s} rows, got {a.n_rows}")
+        raise DimensionMismatch(f"expected {s * s} rows, got {a.n_rows}")
     order = np.argsort(a.matrix[:, -1], kind="stable")
     return OrthogonalArray(a.matrix[order], a.levels, a.strength)
 
@@ -193,7 +193,7 @@ def save_oa(a: OrthogonalArray, path) -> None:
     else:
         levels = ",".join(str(v) for v in a.levels)
     lines = [f"{a.n_rows} {a.n_cols} {levels} {a.strength}"]
-    lines += [" ".join(str(v) for v in row) for row in a.matrix]
+    lines += _matrix_text(a.matrix, " ")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -121,7 +121,8 @@ def check_coupling(design: CoupledDesign, omega: int = 2) -> VerificationReport:
         clipped = np.minimum(collapsed, runs - 1)
         for cols in itertools.combinations(range(q), level):
             keys = np.ravel_multi_index(tuple(design.d1[:, c] for c in cols), (s,) * level)
-            ok = in_range & balanced_columns(keys, s**level, clipped.T, runs)
+            # in range: is_latin_hypercube and _d1_is_oa raised on any entry that is not
+            ok = in_range & _balanced(keys, s**level, clipped, runs)
             failures[level] += _failing(ok, cols if level <= 2 else (cols,))
     report.condition_a = not report.condition_a_failures
     if omega >= 2:

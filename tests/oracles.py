@@ -15,8 +15,10 @@ one (n, n, p) tensor each.  The swap search is the one that rebuilt,
 re-expanded, re-verified and re-scored every column of every candidate
 (and, under ``--shuffle-split``, re-split the inputs) through
 ``construct_from_plan`` and ``score``.  The bundle text is the standard
-library's indenting encoder, and the bundle matrix reader the per-entry type check it
-had before its scans moved to C.  The differential tests hold the library
+library's indenting encoder (a 2-D integer ndarray read as its list), the
+CSV and array-text exports the per-entry writers they were before one
+decimal-table writer replaced them, and the bundle matrix reader the
+per-entry type check it had before its scans moved to C.  The differential tests hold the library
 routes to the reports, exceptions, random streams, criterion floats and
 bytes of these.
 """
@@ -28,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dcdesign.arrays import as_matrix, is_latin_hypercube, is_orthogonal_array
+from dcdesign.arrays import as_matrix, is_latin_hypercube, is_orthogonal_array, to_continuous
 from dcdesign.errors import (
     DesignError,
     LevelOutOfRange,
@@ -329,9 +331,41 @@ def optimize_d2(family, criterion="maximin", restarts=10, seed=0, swap_steps=0):
     return results[best_index(trajectory, CRITERIA[criterion])][0], trajectory
 
 
+def _matrix_list(value):
+    """The encoder's `default`: a 2-D integer ndarray reads as its list."""
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def bundle_text(bundle):
     """The text `bundle.save_bundle` writes."""
-    return json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+    return json.dumps(bundle, indent=2, sort_keys=True, default=_matrix_list) + "\n"
+
+
+def csv_text(design, continuous=False, seed=0):
+    """The text `dcd export --format csv` writes, one entry at a time."""
+    header = [f"z{i + 1}" for i in range(design.q)] + [f"x{i + 1}" for i in range(design.p)]
+    lines = [",".join(header)]
+    if continuous:
+        cont = to_continuous(design.d2, seed)
+        quant_rows = [[f"{v:.17g}" for v in row] for row in cont]
+    else:
+        quant_rows = [[str(v) for v in row] for row in design.d2]
+    for i in range(design.n):
+        lines.append(",".join([str(v) for v in design.d1[i]] + quant_rows[i]))
+    return "\n".join(lines) + "\n"
+
+
+def oa_text(a):
+    """The text `oabuild.save_oa` writes, one entry at a time."""
+    if len(set(a.levels)) == 1:
+        levels = str(a.levels[0])
+    else:
+        levels = ",".join(str(v) for v in a.levels)
+    lines = [f"{a.n_rows} {a.n_cols} {levels} {a.strength}"]
+    lines += [" ".join(str(v) for v in row) for row in a.matrix]
+    return "\n".join(lines) + "\n"
 
 
 def int_matrix(rows, name):

@@ -209,3 +209,24 @@ def test_make_oa_verifies_strength():
         make_oa(np.array([[0, 0], [0, 0], [1, 1], [1, 1]]), 2, 2)
     oa = make_oa(ref.D1_8RUN, 2, 2)
     assert oa.levels == (2, 2)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def int_matrices(draw):
+    """int64 matrices up to 6x6, zero rows or columns included, whose
+    entries span 0..40 from an offset at zero, below it or at either int64
+    bound: on both sides of the decimal table's condition."""
+    shape = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    spread = draw(st.integers(0, 40))
+    low = draw(st.sampled_from([0, -3, -spread // 2, INT64.min, INT64.max - spread]))
+    entries = draw(st.lists(st.integers(0, spread), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array([low + v for v in entries], dtype=np.int64).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.sampled_from([",", " ", ",\n    "]))
+def test_matrix_text_equals_one_str_per_entry(m, sep):
+    assert arrays._matrix_text(m, sep) == [sep.join(str(v) for v in row) for row in m.tolist()]

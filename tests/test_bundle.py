@@ -64,10 +64,10 @@ def test_missing_stored_omega_reads_as_two_and_zero_stays_zero(bundle):
     assert report_disagreement(data, design) is None
     del data["report"]["omega"]
     assert report_disagreement(data, design) is None
-    # omega 0 checks no balance condition, so the stored True meets None;
-    # reading 0 as "missing" would check order 2 and agree
+    # omega 0 checks neither d1 nor a balance condition, so the stored True
+    # meets None; reading 0 as "missing" would check order 2 and agree
     data["report"]["omega"] = 0
-    assert report_disagreement(data, design) == "condition_a"
+    assert report_disagreement(data, design) == "d1_is_oa"
 
 
 def test_negative_stored_omega_is_a_parse_error(bundle, tmp_path):
@@ -75,6 +75,31 @@ def test_negative_stored_omega_is_a_parse_error(bundle, tmp_path):
     with pytest.raises(ParseError, match="omega"):
         parse_bundle(bundle)
     assert main(["verify", str(write(tmp_path, bundle))]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--method", "c1", "--s", "3", "--lambda", "3", "--seed", "0"),
+        ("--method", "c2", "--s", "3", "--lambda", "2", "--q", "2", "--p", "3", "--seed", "1"),
+        ("--method", "c3-case1", "--s", "3", "--seed", "1"),
+        ("--method", "c3-case2", "--s", "3", "--u", "3", "--seed", "1"),
+    ],
+    ids=["c1", "c2", "c3-case1", "c3-case2"],
+)
+def test_every_stored_summary_key_is_certified(args, tmp_path, capsys):
+    data = json.loads(generated_bundle(args))
+    flags = [key for key, value in data["report"].items() if type(value) is bool]
+    assert {"passed", "d1_is_oa", "croa_partition", "witness_check"} <= set(flags)
+    for key in flags:
+        edited = json.loads(generated_bundle(args))
+        edited["report"][key] = not edited["report"][key]
+        path = write(tmp_path, edited)
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        assert f"stored {key!r} disagrees" in capsys.readouterr().out
+        with pytest.raises(ParseError, match=key):
+            load_bundle(path)
 
 
 def test_load_rejects_disagreeing_stored_report(bundle, tmp_path):
@@ -250,6 +275,7 @@ def test_writer_refuses_numpy_ints_like_the_encoder(value):
     assert written_bytes(value) is encoded_bytes(value) is TypeError
 
 
+I64 = np.iinfo(np.int64)
 WRITER_MATRICES = {
     "fast": [[0, 5, 2], [7, 1, 3], [4, 8, 6]],
     "fast-tuples": [(0, 1), (3, 2)],
@@ -267,19 +293,35 @@ WRITER_MATRICES = {
     "float": [[0.0, 1], [2, 3]],
     "deeper": [[[0]], [1]],
     "str": [["0", 1], [2, 3]],
+    "array-table": np.array([[0, 5, 2], [7, 1, 3], [4, 8, 6]]),
+    "array-negative": np.array([[0, -1], [2, 3], [-1, 0]]),
+    "array-at-2^16": np.array([[2**16, 0]] + [[1, 2]] * 3),
+    "array-int64-extremes": np.array([[I64.min, I64.max], [0, 1]]),
+    "array-int64-min-table": np.array([[I64.min, I64.min + 1], [I64.min + 1, I64.min]]),
+    "array-p0": np.zeros((3, 0), dtype=int),
+    "array-no-rows": np.zeros((0, 2), dtype=int),
+    "array-int32": np.array([[0, 3], [2, 1], [1, 2]], dtype=np.int32),
+    "array-uint8": np.array([[255, 0], [1, 2]], dtype=np.uint8),
+}
+REFUSED_ARRAYS = {
+    "array-1d": np.arange(3),
+    "array-bool": np.array([[True, False], [False, True]]),
+    "array-float": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "array-3d": np.zeros((2, 2, 2), dtype=int),
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRITER_MATRICES))
+@pytest.mark.parametrize("name", sorted(WRITER_MATRICES) + sorted(REFUSED_ARRAYS))
 def test_writer_matrix_fast_path_and_its_fallback_match_the_encoder(name):
-    """Matrices on both sides of the per-matrix decimal table: plain int rows
-    (lists or tuples, ragged or not) from 0 to below the entry count take it;
-    everything else takes the general path, and the bytes, or the exception
-    type, are the encoder's either way."""
-    rows = WRITER_MATRICES[name]
-    assert (bundle_module._decimal_table(rows) is not None) == name.startswith("fast")
+    """2-D integer ndarrays, of any dtype, are written as their lists, row
+    by row through the decimal table or one str per entry; lists of rows
+    take the general path and other ndarrays raise TypeError.  The bytes, or
+    the exception type, are the encoder's either way, also inside a list."""
+    rows = WRITER_MATRICES.get(name, REFUSED_ARRAYS.get(name))
     for value in (rows, {"d2": rows, "witness": {"b": rows, "c": [rows]}}):
         assert written_bytes(value) == encoded_bytes(value)
+    if isinstance(rows, np.ndarray):
+        assert (written_bytes(rows) is TypeError) == (name in REFUSED_ARRAYS)
 
 
 fast_rows = st.lists(st.one_of(st.lists(st.integers(0, 9), min_size=1, max_size=4), st.tuples(st.integers(0, 9), st.integers(0, 9))), min_size=1, max_size=5)

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcdesign.arrays import make_oa
 from dcdesign.bundle import load_bundle
 from dcdesign.cli import main
-from dcdesign.construct import DesignFamily, build_design
+from dcdesign.construct import DesignFamily, build_design, regular_inputs
 from dcdesign.criteria import score
+from dcdesign.gf import GaloisField
 from dcdesign.oabuild import load_oa, save_oa
 from dcdesign.rng import derive_seed
 
@@ -191,6 +193,44 @@ def test_export_json_reproduces_the_bundle_bytes(argv, tmp_path):
     assert copy.read_bytes() == bundle.read_bytes()
 
 
+EXPORT_INPUTS = {
+    "c1": ["--method", "c1", "--s", "2", "--q", "2", "--p", "2", "--seed", "4"],
+    "c3-case1-p0": ["--method", "c3-case1", "--s", "3", "--p", "0", "--seed", "1"],
+    "unverified": None,
+}
+
+
+def export_input(name, tmp_path):
+    """A bundle to export; "unverified" is the c1 bundle with a negative and
+    an int64-extreme entry in d2, which only an unverified load accepts."""
+    bundle = tmp_path / "d.json"
+    assert main(["generate", *(EXPORT_INPUTS[name] or EXPORT_INPUTS["c1"]), "-o", str(bundle)]) == 0
+    if EXPORT_INPUTS[name] is None:
+        data = json.loads(bundle.read_text())
+        data["d2"][0][0], data["d2"][1][1] = -1, 2**63 - 1
+        bundle.write_text(json.dumps(data))
+    return bundle
+
+
+# a d2 that is not a Latin hypercube has no continuous export, and oa-text reads only d1
+EXPORT_CASES = [(name, fmt) for name in EXPORT_INPUTS for fmt in ("csv", "csv-continuous", "json", "oa-text") if EXPORT_INPUTS[name] or fmt in ("csv", "json")]
+
+
+@pytest.mark.parametrize("name, fmt", EXPORT_CASES)
+def test_export_bytes_equal_the_per_entry_writers(name, fmt, tmp_path):
+    bundle, out = export_input(name, tmp_path), tmp_path / "out"
+    extra = ["--continuous", "--seed", "9"] if fmt == "csv-continuous" else []
+    assert main(["export", str(bundle), "--format", fmt.split("-continuous")[0], *extra, "-o", str(out)]) == 0
+    design, _ = load_bundle(bundle, verify=False)
+    if fmt == "json":
+        expected = oracles.bundle_text(json.loads(bundle.read_text()))
+    elif fmt == "oa-text":
+        expected = oracles.oa_text(make_oa(design.d1, design.s, min(2, design.q)))
+    else:
+        expected = oracles.csv_text(design, continuous=bool(extra), seed=9)
+    assert out.read_text() == expected
+
+
 def test_export_continuous_deterministic(tmp_path):
     bundle = tmp_path / "d.json"
     assert main(["generate", "--method", "c1", "--s", "2", "--q", "2", "--p", "2", "--seed", "4", "-o", str(bundle)]) == 0
@@ -308,6 +348,22 @@ def test_custom_method_defaults_q_to_pool_width(tmp_path):
     assert code == 0
     design, _ = load_bundle(out)
     assert design.q == 2
+
+
+def test_custom_pool_whose_levels_are_not_s_is_infeasible(tmp_path, capsys):
+    """The 2-level linear-column pair under --s 3, and a pool with 2- and
+    4-level columns under --s 2: refused before any plan is drawn."""
+    a, b = regular_inputs(GaloisField(2), 3)
+    paths = {name: tmp_path / f"{name}.oa" for name in ("a", "b", "mixed", "half")}
+    save_oa(a, paths["a"])
+    save_oa(b, paths["b"])
+    save_oa(make_oa([[i, j] for i in range(2) for j in range(4)], (2, 4), 2), paths["mixed"])
+    save_oa(make_oa(np.repeat([[0], [1]], 4, axis=0), 2, 1), paths["half"])
+    out = str(tmp_path / "d.json")
+    for pool, companion, s, levels in (("a", "b", "3", "2"), ("mixed", "half", "2", "2/4")):
+        capsys.readouterr()
+        assert main(["generate", "--method", "c3-custom", "--s", s, "--a", str(paths[pool]), "--b", str(paths[companion]), "-o", out]) == 3
+        assert f"pool columns have {levels} levels, not s={s}" in capsys.readouterr().err
 
 
 def test_mixed_level_strength3_array_exits_two(tmp_path, capsys):

@@ -96,6 +96,17 @@ def test_stacked_normalizes_row_order_with_warning():
     assert check_projections(design).passed
 
 
+@pytest.mark.parametrize("method", ["c1", "c2"])
+def test_block_form_warning_points_at_the_caller(method):
+    from dcdesign.criteria import optimize_d2
+
+    family = DesignFamily(method=method, s=3, q=3, p=2, lam=2 if method == "c2" else 1, arrays=[make_oa(ref.A1_9RUN[::-1], 3, 2)])
+    for run in (lambda: build_design(family, 5), lambda: optimize_d2(family, restarts=1)):
+        with pytest.warns(UserWarning, match="block form") as record:
+            run()
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_replicated_reproduces_reference_certificate():
     design = build_design(replicated_family(), plan=reference_replicated_plan())
     assert np.array_equal(design.witness.b, ref.B_27RUN_REPLICATED)

@@ -202,9 +202,9 @@ def count_calls(monkeypatch, module, name):
 
 def test_steps_verify_each_changed_column_and_nothing_else(monkeypatch):
     """Full construction, expansion and verification (one order-2
-    check_coupling pass) run once per restart; each step (every one changes
-    one column here) makes exactly the two kernel calls of the column
-    check."""
+    check_coupling pass, one unchecked kernel call per factor and factor
+    pair) run once per restart; each step (every one changes one column
+    here) makes exactly the two kernel calls of the column check."""
     coupling = count_calls(monkeypatch, construct, "check_coupling")
     projections = count_calls(monkeypatch, verify, "check_projections")
     expansions = count_calls(monkeypatch, construct, "level_expand")
@@ -214,7 +214,8 @@ def test_steps_verify_each_changed_column_and_nothing_else(monkeypatch):
     optimize_d2(DesignFamily(**FAMILIES["c1"]), "maximin", restarts=restarts, seed=2, swap_steps=steps)
     assert len(coupling) == len(expansions) == len(oa_checks) == restarts
     assert not projections
-    assert len(kernel) == 2 * restarts * steps
+    q = FAMILIES["c1"]["q"]
+    assert len(kernel) == 2 * restarts * steps + restarts * (q + q * (q - 1) // 2)
 
 
 def test_restarts_keep_only_the_incumbent_design():
